@@ -14,6 +14,9 @@ wedge composes matrix factors (form factor of the left operand first).
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import prod
+
 import numpy as np
 
 from .hodge import basis_subsets, merge_sign, subset_index
@@ -46,7 +49,7 @@ class FourierFormSpace:
         return len(basis_subsets(self.n, q))
 
     def in_bounds(self, mode) -> bool:
-        return all(abs(int(k)) <= self.mode_bound for k in mode)
+        return max(map(abs, map(int, mode)), default=0) <= self.mode_bound
 
     def zeta(self, mode, twist=None) -> np.ndarray:
         v = np.asarray(mode, dtype=float)
@@ -79,8 +82,8 @@ class FourierForm:
             c = np.asarray(c, dtype=complex)
             if c.shape != want:
                 raise ValueError(f"coefficient shape {c.shape}, expected {want}")
-            if space.in_bounds(m) and np.any(c != 0):
-                self.modes[tuple(int(k) for k in m)] = c.copy()
+            if space.in_bounds(m) and c.any():
+                self.modes[tuple(map(int, m))] = c.copy()
 
     def copy(self) -> "FourierForm":
         return FourierForm(self.space, self.q, self.modes, extra=self.extra)
@@ -188,40 +191,85 @@ def harmonic_part(form: FourierForm, twist=None) -> FourierForm:
     return FourierForm(space, form.q, out, extra=form.extra)
 
 
+# Bound on the temporaries of one batch of mode pairs in `wedge`, so that a
+# large call does not raise peak memory.
+_CHUNK_BYTES = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _merge_table(n: int, q_f: int, q_g: int) -> tuple:
+    """Nonzero products e_{s1} ^ e_{s2} of (0,q_f) and (0,q_g) basis forms, as
+    arrays (i1, i2, output component, complex sign) in (i1, i2) order."""
+    idx = subset_index(n, q_f + q_g)
+    rows = []
+    for i1, s1 in enumerate(basis_subsets(n, q_f)):
+        for i2, s2 in enumerate(basis_subsets(n, q_g)):
+            merged, sign = merge_sign(s1, s2)
+            if merged is not None:
+                rows.append((i1, i2, idx[merged], sign))
+    i1, i2, comp, sign = (np.array([r[k] for r in rows], dtype=np.intp)
+                          for k in range(4))
+    table = (i1, i2, comp, sign.astype(complex))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def wedge(f: FourierForm, g: FourierForm) -> FourierForm:
     """Composition wedge: form factors wedge, value factors compose (f's
-    matrix on the left). Modes outside the cube are truncated away."""
+    matrix on the left). Modes outside the cube are truncated away.
+
+    Batched over mode pairs with the arithmetic of the plain loop over f's
+    modes, g's modes and merge-table rows: each product rounds as the loop's
+    does, is multiplied by the sign as a complex number, and each output
+    entry receives its terms in loop order. The result is bit for bit the
+    loop's, output modes in order of first encounter."""
     space = f.space
     if g.space is not space and (g.space.n != space.n
                                  or g.space.mode_bound != space.mode_bound):
         raise ValueError("forms live in different spaces")
-    n = space.n
     q_out = f.q + g.q
-    idx = subset_index(n, q_out)
-    subs_f = basis_subsets(n, f.q)
-    subs_g = basis_subsets(n, g.q)
     if f.extra and g.extra:
         extra = (f.extra[0], g.extra[1])
     else:
         extra = f.extra or g.extra
-    out_modes = {}
-    for m1, c1 in f.modes.items():
-        for m2, c2 in g.modes.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            if not space.in_bounds(m):
-                continue
-            acc = out_modes.get(m)
-            if acc is None:
-                acc = np.zeros((space.ncomp(q_out),) + extra, dtype=complex)
-                out_modes[m] = acc
-            for i1, s1 in enumerate(subs_f):
-                a1 = c1[i1]
-                for i2, s2 in enumerate(subs_g):
-                    merged, sign = merge_sign(s1, s2)
-                    if merged is None:
-                        continue
-                    if f.extra and g.extra:
-                        acc[idx[merged]] += sign * (a1 @ c2[i2])
-                    else:
-                        acc[idx[merged]] += sign * (a1 * c2[i2])
-    return FourierForm(space, q_out, out_modes, extra=extra)
+    i1, i2, comp, sign = _merge_table(space.n, f.q, g.q)
+    if not (f.modes and g.modes and len(sign)):
+        return FourierForm(space, q_out, {}, extra=extra)
+    sums = np.array(list(f.modes))[:, None] + np.array(list(g.modes))
+    inside = np.maximum.reduce(np.abs(sums), axis=2) <= space.mode_bound
+    j1, j2 = inside.nonzero()
+    slot_of = {}
+    slots = np.array([slot_of.setdefault(m, len(slot_of))
+                      for m in map(tuple, sums[inside].tolist())], dtype=np.intp)
+    c1 = np.array(list(f.modes.values()))
+    c2 = np.array(list(g.modes.values()))
+    # Accumulate entry by entry into a flat array: np.add.at adds the terms of
+    # each entry one at a time, in index order, which is the loop's order.
+    ncomp, size = space.ncomp(q_out), prod(extra)
+    acc = np.zeros(len(slot_of) * ncomp * size, dtype=complex)
+    entries = comp[:, None] * size + np.arange(size)
+    # Per pair: both gathered operands, the product and its entry indices.
+    pair_bytes = len(sign) * (16 * (prod(f.extra) + prod(g.extra) + size) + 8 * size)
+    step = max(1, _CHUNK_BYTES // pair_bytes)
+    sign = sign.reshape(sign.shape + (1,) * len(extra))
+    for lo in range(0, len(j1), step):
+        a = c1[j1[lo:lo + step, None], i1]
+        b = c2[j2[lo:lo + step, None], i2]
+        if f.extra and g.extra:
+            ab = a @ b
+        elif f.extra:
+            ab = a * b.reshape(b.shape + (1,) * len(f.extra))
+        elif g.extra:
+            ab = a.reshape(a.shape + (1,) * len(g.extra)) * b
+        else:
+            # The products of numpy scalars round each partial product; an
+            # array multiply may fuse them (FMA). Spell the product out.
+            ab = np.empty(a.shape, dtype=complex)
+            ab.real = a.real * b.real - a.imag * b.imag
+            ab.imag = a.real * b.imag + a.imag * b.real
+        np.multiply(sign, ab, out=ab)
+        at = slots[lo:lo + step, None, None] * (ncomp * size) + entries
+        np.add.at(acc, at.ravel(), ab.ravel())
+    acc = acc.reshape((len(slot_of), ncomp) + extra)
+    return FourierForm(space, q_out, dict(zip(slot_of, acc)), extra=extra)

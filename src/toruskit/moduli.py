@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import ChainNotFound, FactorizationFailed, NotPaired
 from .linalg import frob, haar_orthogonal, min_eig_sym, rel_residual
@@ -427,6 +426,7 @@ def pair_factorize(g: Metric, h: Metric, opts: FactorizeOptions | None = None) -
             q0 = haar_orthogonal(n2, rng)
             t0 = rng.normal(scale=1.0, size=problem.n)
             return problem.polish(q0, t0)
+        import scipy.optimize  # deferred: it outweighs the rest of the import
         q0, t0 = starts[k % len(starts)]
         rng = np.random.default_rng([opts.seed, k])
         x0 = np.concatenate([rng.normal(scale=0.6, size=ntheta),

@@ -211,10 +211,23 @@ def encode_ext_class(nu: ExtClass) -> dict:
 def decode_ext_class(doc: dict) -> ExtClass:
     bundle = GradedFlatBundle(blocks=tuple(
         (Character(tuple(b["phases"])), int(b["rank"])) for b in doc["blocks"]))
+    if not isinstance(doc["forms"], dict):
+        raise ValueError("ext_class key 'forms' must map \"i,j\" block keys "
+                         "to lists of complex matrices")
     forms = {}
     for key, mats in doc["forms"].items():
-        i, j = (int(x) - 1 for x in key.split(","))
-        forms[(i, j)] = np.stack([parse_complex_matrix(m) for m in mats])
+        try:
+            i, j = (int(x) for x in key.split(","))
+        except ValueError:
+            raise ValueError(f"forms key {key!r} is not \"i,j\"") from None
+        if not (1 <= i <= len(bundle.blocks) and 1 <= j <= len(bundle.blocks)):
+            raise ValueError(f"forms key {key!r} is not a pair of 1-based block "
+                             f"indices up to {len(bundle.blocks)}")
+        try:
+            forms[(i - 1, j - 1)] = np.stack([parse_complex_matrix(m) for m in mats])
+        except (IndexError, TypeError, ValueError):
+            raise ValueError(f"forms[{key!r}] is not a non-empty list of complex "
+                             "matrices of one shape") from None
     return ExtClass(bundle=bundle, forms=forms)
 
 

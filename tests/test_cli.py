@@ -158,6 +158,21 @@ def test_bundle_extend_cli(tmp_path, capsys):
     assert back.norm() < 1e-9  # restriction at I vanishes
 
 
+@pytest.mark.parametrize("forms", [[], {"2,1": 5}, {"1,0": [[[[1.0, 0.0]]]] * 3}])
+def test_bundle_extend_malformed_ext_class(tmp_path, capsys, forms):
+    from toruskit.bundles import Character, ExtClass, GradedFlatBundle
+    ch = Character.trivial(6)
+    doc = serialize.encode_ext_class(
+        ExtClass(bundle=GradedFlatBundle(blocks=((ch, 1), (ch, 1))), forms={}))
+    doc["forms"] = forms
+    pe = write(tmp_path, "e.json", doc)
+    unused = str(tmp_path / "unused.json")
+    code = main(["bundle-extend", "--ext", pe, "--i", unused, "--j", unused,
+                 "--l", unused, "--metric", unused])
+    assert code == 2
+    assert "bad input" in capsys.readouterr().err
+
+
 def test_massey_cli(tmp_path, capsys):
     from toruskit.fourier import FourierForm, FourierFormSpace
     sp = FourierFormSpace(3, 3)
@@ -178,6 +193,43 @@ def test_massey_cli(tmp_path, capsys):
     path2 = write(tmp_path, "theta2.json", serialize.encode_fourier_form(theta2))
     code, _ = run(["massey", "--in", path2], capsys)
     assert code == 10  # obstructed
+
+
+def _exact_theta0(rank, seed):
+    """dbar of a (0,0)-form with strictly upper-triangular End values on six
+    modes with |m_k| <= 1: a seeded Massey seed that converges."""
+    from toruskit.fourier import FourierForm, FourierFormSpace, dbar
+    rng = np.random.default_rng(seed)
+    modes = {}
+    while len(modes) < 6:
+        m = tuple(int(v) for v in rng.integers(-1, 2, 6))
+        if any(m):
+            modes[m] = None
+    iu = np.triu_indices(rank, 1)
+    for m in modes:
+        c = np.zeros((1, rank, rank), complex)
+        c[0][iu] = 0.3 * (rng.standard_normal(len(iu[0]))
+                          + 1j * rng.standard_normal(len(iu[0])))
+        modes[m] = c
+    return dbar(FourierForm(FourierFormSpace(3, 4), 0, modes, extra=(rank, rank)))
+
+
+# sha256 of `toruskit massey` stdout on two seeded documents. The answer is
+# pinned bit for bit: any drift in a float or in the mode order fails here.
+MASSEY_GOLDEN = {
+    (3, 11): "a29732881d3cffdea565b5ed041dd087a45d215c189c09fb581474b42d6d99c3",
+    (4, 12): "f9380943519911d1a6728d701e9e627af06c405099d15df631005ea5ae13daea",
+}
+
+
+@pytest.mark.parametrize("rank,seed", sorted(MASSEY_GOLDEN))
+def test_massey_cli_golden_bytes(tmp_path, capsys, rank, seed):
+    import hashlib
+    path = write(tmp_path, "theta0.json",
+                 serialize.encode_fourier_form(_exact_theta0(rank, seed)))
+    code, out = run(["massey", "--in", path], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MASSEY_GOLDEN[rank, seed]
 
 
 def test_curvature_scan_cli(capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from toruskit import fourier
 from toruskit.fourier import (FourierForm, FourierFormSpace, canonical_frame,
                               dbar, dbar_star, green, harmonic_part,
                               laplace_scalar, wedge)
+from toruskit.hodge import basis_subsets, merge_sign, subset_index
 
 
 def make_space(n=3, bound=3):
@@ -138,3 +140,131 @@ def test_coefficient_shape_validation():
     sp = make_space()
     with pytest.raises(ValueError):
         FourierForm(sp, 1, {(0,) * 6: np.zeros(4, complex)})
+
+
+def _wedge_loop(f, g):
+    """Reference: the composition wedge as a plain loop over mode pairs and
+    basis subset pairs. `wedge` must reproduce it bit for bit."""
+    space = f.space
+    n = space.n
+    q_out = f.q + g.q
+    idx = subset_index(n, q_out)
+    subs_f = basis_subsets(n, f.q)
+    subs_g = basis_subsets(n, g.q)
+    if f.extra and g.extra:
+        extra = (f.extra[0], g.extra[1])
+    else:
+        extra = f.extra or g.extra
+    out_modes = {}
+    for m1, c1 in f.modes.items():
+        for m2, c2 in g.modes.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            if not space.in_bounds(m):
+                continue
+            acc = out_modes.get(m)
+            if acc is None:
+                acc = np.zeros((space.ncomp(q_out),) + extra, dtype=complex)
+                out_modes[m] = acc
+            for i1, s1 in enumerate(subs_f):
+                a1 = c1[i1]
+                for i2, s2 in enumerate(subs_g):
+                    merged, sign = merge_sign(s1, s2)
+                    if merged is None:
+                        continue
+                    if f.extra and g.extra:
+                        acc[idx[merged]] += sign * (a1 @ c2[i2])
+                    else:
+                        acc[idx[merged]] += sign * (a1 * c2[i2])
+    return FourierForm(space, q_out, out_modes, extra=extra)
+
+
+def _oracle_form(space, q, extra, nmodes, seed):
+    """Random form on modes spread over the whole cube (so sums leave it),
+    with exact and negative zeros among the coefficients."""
+    rng = np.random.default_rng(seed)
+    b = space.mode_bound
+    shape = (space.ncomp(q),) + extra
+    modes = {}
+    for _ in range(nmodes):
+        m = tuple(int(x) for x in rng.integers(-b, b + 1, 2 * space.n))
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c.real[rng.random(shape) < 0.2] = 0.0
+        c.real[rng.random(shape) < 0.1] = -0.0
+        c.imag[rng.random(shape) < 0.2] = -0.0
+        modes[m] = c
+    return FourierForm(space, q, modes, extra=extra)
+
+
+def _assert_same_bits(got, want):
+    assert (got.q, got.extra) == (want.q, want.extra)
+    assert list(got.modes) == list(want.modes)
+    for m, c in want.modes.items():
+        assert got.modes[m].tobytes() == c.tobytes()
+
+
+VALUE_KINDS = {"scalar^scalar": ((), ()), "End^scalar": ((2, 2), ()),
+               "scalar^End": ((), (3, 3)), "End^End": ((3, 3), (3, 3))}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+def test_wedge_matches_loop_bitwise(kind):
+    sp = FourierFormSpace(3, 2)
+    ef, eg = VALUE_KINDS[kind]
+    truncated = 0
+    for q_f in range(4):
+        for q_g in range(4 - q_f):
+            f = _oracle_form(sp, q_f, ef, 7, seed=10 * q_f + q_g)
+            g = _oracle_form(sp, q_g, eg, 5, seed=100 + 10 * q_f + q_g)
+            _assert_same_bits(wedge(f, g), _wedge_loop(f, g))
+            truncated += sum(not sp.in_bounds(np.add(m1, m2))
+                             for m1 in f.modes for m2 in g.modes)
+            if q_f == q_g and ef == eg:
+                _assert_same_bits(wedge(f, f), _wedge_loop(f, f))
+    assert truncated  # some mode sums left the cube
+
+
+def test_wedge_matches_loop_rectangular_values():
+    sp = FourierFormSpace(3, 2)
+    f = _oracle_form(sp, 1, (2, 3), 6, seed=1)
+    g = _oracle_form(sp, 1, (3, 4), 6, seed=2)
+    _assert_same_bits(wedge(f, g), _wedge_loop(f, g))
+
+
+def test_wedge_empty_operand():
+    sp = FourierFormSpace(3, 2)
+    f = _oracle_form(sp, 1, (2, 2), 4, seed=3)
+    empty = sp.zero(1, extra=(2, 2))
+    for left, right in ((f, empty), (empty, f), (empty, empty)):
+        got = wedge(left, right)
+        _assert_same_bits(got, _wedge_loop(left, right))
+        assert got.modes == {}
+
+
+def test_wedge_matches_loop_across_chunks():
+    sp = FourierFormSpace(3, 3)
+    f = _oracle_form(sp, 1, (4, 4), 60, seed=4)
+    g = _oracle_form(sp, 1, (4, 4), 60, seed=5)
+    # A chunk holds at most this many pairs: each pair's products alone take
+    # 16 bytes per entry of every merge-table row.
+    rows = len(fourier._merge_table(3, 1, 1)[0])
+    most_per_chunk = fourier._CHUNK_BYTES // (16 * rows * 16)
+    pairs = sum(sp.in_bounds(np.add(m1, m2)) for m1 in f.modes for m2 in g.modes)
+    assert pairs > 2 * most_per_chunk
+    _assert_same_bits(wedge(f, g), _wedge_loop(f, g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_merge_table_agrees_with_merge_sign(n):
+    for q_f in range(n + 1):
+        for q_g in range(n + 1):
+            i1, i2, comp, sign = fourier._merge_table(n, q_f, q_g)
+            want = []
+            for a, s1 in enumerate(basis_subsets(n, q_f)):
+                for b, s2 in enumerate(basis_subsets(n, q_g)):
+                    merged, sg = merge_sign(s1, s2)
+                    if merged is not None:
+                        want.append((a, b, subset_index(n, q_f + q_g)[merged], sg))
+            got = list(zip(i1.tolist(), i2.tolist(), comp.tolist(),
+                           sign.real.tolist()))
+            assert got == want
+            assert not sign.imag.any()

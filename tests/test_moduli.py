@@ -238,3 +238,17 @@ def test_factorize_thread_count_invariant(idm6):
     a = tk.pair_factorize(idm6, h, tk.FactorizeOptions(seed=3, threads=1))
     b = tk.pair_factorize(idm6, h, tk.FactorizeOptions(seed=3, threads=3))
     assert np.array_equal(a.g, b.g)
+
+
+def test_import_defers_scipy_optimize():
+    # Only the Nelder-Mead restarts use scipy.optimize; a plain import of the
+    # package must not pay for it.
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, toruskit; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"

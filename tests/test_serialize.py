@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import toruskit as tk
 from toruskit import serialize
@@ -114,3 +115,27 @@ def test_unknown_type_rejected():
     import pytest
     with pytest.raises(ValueError):
         serialize.decode({"type": "nonsense"})
+
+
+def _ext_doc(forms):
+    ch = Character.trivial(6)
+    doc = serialize.encode_ext_class(
+        ExtClass(bundle=GradedFlatBundle(blocks=((ch, 1), (ch, 1))), forms={}))
+    doc["forms"] = forms
+    return doc
+
+
+def test_ext_class_rejects_forms_list():
+    with pytest.raises(ValueError, match="'forms'"):
+        serialize.decode(_ext_doc([]))
+
+
+def test_ext_class_rejects_non_matrix_entry():
+    with pytest.raises(ValueError, match="'2,1'"):
+        serialize.decode(_ext_doc({"2,1": 5}))
+
+
+def test_ext_class_rejects_zero_block_index():
+    # 1-based on the wire: "1,0" would alias the last block as index -1
+    with pytest.raises(ValueError, match="'1,0'"):
+        serialize.decode(_ext_doc({"1,0": [[[[1.0, 0.0]]]] * 3}))
