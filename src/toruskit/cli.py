@@ -59,15 +59,6 @@ def _seed_of(args) -> int:
     return int(os.environ.get("TORUSKIT_SEED", "0"))
 
 
-def _complex_vector(doc) -> np.ndarray:
-    a = np.asarray(doc, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
-
-
-def _encode_vector(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, complex)]
-
-
 def _sample(kind: str, n: int, seed: int, backend: str):
     rng = np.random.default_rng([seed, {"torus": 0, "structure": 1,
                                         "metric": 2, "ext-class": 3}[kind], n])
@@ -130,8 +121,7 @@ def _cmd_connect(args) -> int:
     seed = _seed_of(args)
     opts = moduli.ConnectOptions(
         seed=seed, certify_generic=args.certify_generic, bound=args.bound,
-        factorize=moduli.FactorizeOptions(seed=seed, threads=args.threads),
-        threads=args.threads)
+        factorize=moduli.FactorizeOptions(seed=seed))
     chain = moduli.connect(i, j, opts)
     doc = serialize.encode_chain(chain)
     doc["seed"] = seed
@@ -143,12 +133,12 @@ def _cmd_section(args) -> int:
     metric_doc = _read_json(args.metric)
     pi = _point_from_docs(_read_json(args.i), metric_doc)
     pj = _point_from_docs(_read_json(args.j), metric_doc)
-    wi = _complex_vector(_read_json(args.wi))
-    wj = _complex_vector(_read_json(args.wj))
+    wi = serialize.parse_complex_vector(_read_json(args.wi), "wi")
+    wj = serialize.parse_complex_vector(_read_json(args.wj), "wj")
     v = twistor.section_solve(pi, pj, wi, wj)
     ri = twistor.kappa(v, pi).w - wi
     rj = twistor.kappa(v, pj).w - wj
-    doc = {"type": "section", "v": _encode_vector(v.v),
+    doc = {"type": "section", "v": serialize.complex_vector(v.v),
            "residual": float(max(np.linalg.norm(ri), np.linalg.norm(rj)))}
     _emit(doc, args.out)
     return EXIT_OK
@@ -159,9 +149,9 @@ def _cmd_transport(args) -> int:
     pi = _point_from_docs(_read_json(args.i), metric_doc)
     pl = _point_from_docs(_read_json(args.l), metric_doc)
     plp = _point_from_docs(_read_json(args.lp), metric_doc)
-    t = _complex_vector(_read_json(args.t))
+    t = serialize.parse_complex_vector(_read_json(args.t), "t")
     out = twistor.psi_transport(pi, pl, plp, t)
-    _emit({"type": "transport", "w": _encode_vector(out.w)}, args.out)
+    _emit({"type": "transport", "w": serialize.complex_vector(out.w)}, args.out)
     return EXIT_OK
 
 
@@ -249,7 +239,6 @@ def build_parser() -> Parser:
     sp.add_argument("--j", required=True)
     sp.add_argument("--certify-generic", action="store_true")
     sp.add_argument("--bound", type=int, default=10)
-    sp.add_argument("--threads", type=int, default=1)
     common(sp)
     sp.set_defaults(func=_cmd_connect)
 

@@ -3,8 +3,9 @@
 Two complex structures are adjacent when one flat metric is preserved by
 both; the criterion is that the metric ratio has all eigenvalues in pairs.
 Chains of at most 6 hops are built by factoring the target metric ratio into
-two paired factors (a nonsmooth eigenvalue-matching problem solved by
-multi-start simplex search plus a Gauss-Newton polish on the pair gaps).
+two paired factors (a nonsmooth eigenvalue-matching problem solved by a
+Gauss-Newton polish on the pair gaps from closed-form warm starts, then from
+seeded random starts).
 """
 
 from __future__ import annotations
@@ -163,14 +164,15 @@ def common_metric(i: ComplexStructure, j: ComplexStructure,
 # Pair factorization
 
 
+# Random-start Gauss-Newton probes run after the warm starts.
+N_PROBES = 32
+
+
 @dataclass(frozen=True)
 class FactorizeOptions:
-    restarts: int = 16
-    max_evals: int = 20000
     defect_tol: float = 1e-10
     paired_tol: float = FACTORIZE_PAIRED_TOL
     seed: int = 0
-    threads: int = 1
 
 
 def _doubled(vals: np.ndarray) -> np.ndarray:
@@ -305,16 +307,6 @@ class _FactorizeProblem:
             gaps = w[1::2] - w[0::2]
             return float(np.sum(gaps * gaps))
 
-    def pack_objective(self, q0: np.ndarray):
-        ntheta = self.n2 * (self.n2 - 1) // 2
-
-        def f(x):
-            k = _skew_from_params(x[:ntheta], self.n2)
-            q = scipy.linalg.expm(k) @ q0
-            return self.defect_qt(q, x[ntheta:])
-
-        return f, ntheta
-
     def polish(self, q: np.ndarray, t: np.ndarray, max_iter: int = 60):
         """Gauss-Newton on the relative pair-gap residuals.
 
@@ -379,12 +371,14 @@ class _FactorizeProblem:
 def pair_factorize(g: Metric, h: Metric, opts: FactorizeOptions | None = None) -> Metric:
     """Middle metric g1 with both ratios g->g1 and g1->h eigenvalue-paired.
 
-    Normalizes to g = Id, parametrizes the candidate as an orthogonal
-    conjugate of a doubled diagonal, and minimizes the pairing defect of the
-    remaining ratio by multi-start Nelder-Mead plus a Gauss-Newton polish. The
-    interleaved-pairing closed form seeds the search and answers near-diagonal
-    targets outright. Raises FactorizationFailed with the best candidate when
-    the defect stays above tolerance.
+    Normalizes to g = Id and parametrizes the candidate as an orthogonal
+    conjugate of a doubled diagonal. One search runs a Gauss-Newton polish on
+    the pair gaps of the remaining ratio, first from the warm starts (the
+    interleaved-pairing closed form, which answers near-diagonal targets
+    outright, and the cycle arrangements), then from N_PROBES seeded random
+    starts, and stops at the first job that converges. Raises
+    FactorizationFailed with the best candidate, the smallest (defect, job
+    index), when the defect stays above tolerance.
     """
     opts = opts or FactorizeOptions()
     w = g.sqrt_inv()
@@ -409,60 +403,28 @@ def pair_factorize(g: Metric, h: Metric, opts: FactorizeOptions | None = None) -
     starts.append((np.eye(n2), np.zeros(n2 // 2)))
     starts.extend(_cycle_arrangement_starts(h_hat))
 
-    ntheta = n2 * (n2 - 1) // 2
-    n_probe = 2 * opts.restarts          # cheap random Gauss-Newton probes
-    per_restart = max(200, opts.max_evals // max(opts.restarts, 1))
     success_defect = 1e-26
 
-    def run_job(k: int):
-        """Warm-start polishes first, then cheap random-start polishes, then
-        seeded simplex restarts followed by the polish. Jobs are independent;
-        per-job rngs keep each result a pure function of (inputs, seed, k)."""
+    # The first job reaching full convergence wins, else the smallest
+    # (defect, index): the strict < keeps the lower index on ties.
+    best = None
+    for k in range(len(starts) + N_PROBES):
         if k < len(starts):
             q0, t0 = starts[k]
-            return problem.polish(q0, t0)
-        if k < len(starts) + n_probe:
+        else:
+            # a per-job rng keeps each result a pure function of (inputs, seed, k)
             rng = np.random.default_rng([opts.seed, k])
             q0 = haar_orthogonal(n2, rng)
             t0 = rng.normal(scale=1.0, size=problem.n)
-            return problem.polish(q0, t0)
-        import scipy.optimize  # deferred: it outweighs the rest of the import
-        q0, t0 = starts[k % len(starts)]
-        rng = np.random.default_rng([opts.seed, k])
-        x0 = np.concatenate([rng.normal(scale=0.6, size=ntheta),
-                             t0 + rng.normal(scale=0.3, size=problem.n)])
-        f, _ = problem.pack_objective(q0)
-        out = scipy.optimize.minimize(
-            f, x0, method="Nelder-Mead",
-            options={"maxfev": per_restart, "xatol": 1e-10, "fatol": 1e-14})
-        kk = _skew_from_params(out.x[:ntheta], n2)
-        return problem.polish(scipy.linalg.expm(kk) @ q0, out.x[ntheta:])
-
-    n_jobs = len(starts) + n_probe + opts.restarts
-    results: dict[int, tuple] = {}
-    if opts.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            for k, res in enumerate(pool.map(run_job, range(n_jobs))):
-                results[k] = res
-    else:
-        for k in range(n_jobs):
-            results[k] = run_job(k)
-            if results[k][2] <= success_defect:
-                break
-
-    # Deterministic merge regardless of thread count: the first job index
-    # reaching full convergence wins, else the smallest (defect, index).
-    winner = None
-    for k in sorted(results):
-        if results[k][2] <= success_defect:
-            winner = k
+        res = problem.polish(q0, t0)
+        if res[2] <= success_defect:
+            best = res
             break
-    if winner is None:
-        winner = min(sorted(results), key=lambda k: (results[k][2], k))
-    best_q, best_t, _ = results[winner]
+        if best is None or res[2] < best[2]:
+            best = res
+    best_q, best_t, _ = best
     # Warm starts carry a meaningful raw scale (the cyclic chain's); clamp
-    # only runaway means so a wandering restart cannot blow up the report.
+    # only runaway means so a wandering probe cannot blow up the report.
     mean = float(np.clip(np.mean(best_t), -20.0, 20.0))
     best_t = best_t - np.mean(best_t) + mean
 
@@ -551,7 +513,6 @@ class ConnectOptions:
     certify_generic: bool = False
     bound: int = 10
     factorize: FactorizeOptions = field(default_factory=FactorizeOptions)
-    threads: int = 1
 
 
 def compatible_metric(j: ComplexStructure, rng=None) -> Metric:

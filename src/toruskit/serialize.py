@@ -17,6 +17,7 @@ import numpy as np
 from . import exact
 from .bundles import Character, ExtClass, GradedFlatBundle
 from .hodge import GenericityReport, MultiVector
+from .linalg import frob
 from .moduli import Chain, verify_chain
 from .torus import ComplexStructure, IsotropicFrame, MarkedTorus, Metric, make_torus
 
@@ -78,7 +79,22 @@ def encode_metric(m: Metric) -> dict:
 
 
 def decode_metric(doc: dict) -> Metric:
-    return Metric(parse_real_matrix(doc["g"]))
+    """Metric from its document; g must be a finite symmetric square matrix.
+
+    A document is rejected, never repaired; the symmetrization inside Metric
+    is for matrices computed in the library.
+    """
+    try:
+        g = parse_real_matrix(doc["g"])
+    except (TypeError, ValueError):
+        raise ValueError("metric key 'g' is not a matrix of numbers") from None
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
+        raise ValueError(f"metric key 'g' must be a square matrix, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("metric key 'g' has non-finite entries")
+    if frob(g - g.T) > 1e-12 * frob(g):
+        raise ValueError("metric key 'g' is not symmetric")
+    return Metric(g)
 
 
 def encode_structure(j: ComplexStructure) -> dict:
@@ -129,8 +145,14 @@ def complex_vector(v) -> list:
     return [[float(x.real), float(x.imag)] for x in np.asarray(v, complex)]
 
 
-def parse_complex_vector(doc) -> np.ndarray:
-    a = np.asarray(doc, dtype=float)
+def parse_complex_vector(doc, name: str) -> np.ndarray:
+    """A finite (k, 2) array of [re, im] pairs as a complex k-vector."""
+    try:
+        a = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != 2 or a.shape[1] != 2 or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} is not a list of finite [re, im] pairs")
     return a[:, 0] + 1j * a[:, 1]
 
 
@@ -140,7 +162,7 @@ def encode_section_vector(s) -> dict:
 
 def decode_section_vector(doc: dict):
     from .twistor import SectionVector
-    return SectionVector(v=parse_complex_vector(doc["v"]))
+    return SectionVector(v=parse_complex_vector(doc["v"], "v"))
 
 
 def encode_fiber_value(f) -> dict:
@@ -150,7 +172,7 @@ def encode_fiber_value(f) -> dict:
 
 def decode_fiber_value(doc: dict):
     from .twistor import FiberValue
-    return FiberValue(w=parse_complex_vector(doc["w"]),
+    return FiberValue(w=parse_complex_vector(doc["w"], "w"),
                       at=decode_twistor_point(doc["at"]))
 
 

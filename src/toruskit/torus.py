@@ -172,9 +172,13 @@ class ComplexStructure:
         two_n = j.shape[0]
         if j.shape != (two_n, two_n) or two_n % 2:
             raise ValueError(f"J must be square of even size, got {j.shape}")
-        res = frob(j @ j + np.eye(two_n)) / max(frob(j), 1.0)
-        if res > 1e-10:
-            raise ValueError(f"J^2 != -Id (residual {res:.3e})")
+        # Besides the relative bound, allow the rounding floor of the float
+        # product J @ J, about 2n eps ||J||^2, which dominates for large ||J||.
+        norm = frob(j)
+        res = frob(j @ j + np.eye(two_n))
+        floor = two_n * np.finfo(float).eps * norm * norm
+        if res > 1e-10 * max(norm, 1.0) + floor:
+            raise ValueError(f"J^2 != -Id (residual {res / max(norm, 1.0):.3e})")
         object.__setattr__(self, "j", _freeze(j))
 
     @property

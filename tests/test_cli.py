@@ -104,6 +104,33 @@ def test_connect_cli(tmp_path, capsys):
     assert tk.verify_chain(chain).ok
 
 
+# sha256 of `toruskit connect` stdout for (general_position_pair seed,
+# --seed), recorded with a factorizer that also ran Nelder-Mead restarts after
+# the probes: the single search must give the same bytes. The first
+# factorization of (100, 100) fails, so its chain comes from a retry.
+CONNECT_GOLDEN = {
+    (3, 7): "7c2a46e85c13ca14eddc98c34970f867a8e7e7f6f1ff38a4b1445562ec9ed36f",
+    (100, 100): "a1c7ca0fb77e9c8de793db879fda7903f735969438d0ec86a30922d40fec03c5",
+}
+
+
+@pytest.mark.parametrize("pair,seed", sorted(CONNECT_GOLDEN))
+def test_connect_cli_golden_bytes(tmp_path, capsys, pair, seed):
+    import hashlib
+    import jsonschema
+    from conftest import general_position_pair
+    i, j = general_position_pair(pair)
+    pi = write(tmp_path, "i.json", serialize.encode_structure(i))
+    pj = write(tmp_path, "j.json", serialize.encode_structure(j))
+    code, out = run(["connect", "--i", pi, "--j", pj, "--seed", str(seed)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONNECT_GOLDEN[pair, seed]
+    schema_path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                               "schemas", "chain.schema.json")
+    with open(schema_path, encoding="utf-8") as fh:
+        jsonschema.validate(json.loads(out), json.load(fh))
+
+
 def test_section_cli_and_not_transversal(tmp_path, capsys):
     g = tk.identity_metric(6)
     from toruskit.twistor import random_transversal_pair
@@ -120,6 +147,40 @@ def test_section_cli_and_not_transversal(tmp_path, capsys):
     code, _ = run(["section", "--i", pi, "--j", pi, "--metric", pg,
                    "--wi", wi, "--wj", wj], capsys)
     assert code == 10
+
+
+def _section_files(tmp_path):
+    from toruskit.twistor import random_transversal_pair
+    g = tk.identity_metric(6)
+    a, b = random_transversal_pair(g, 4)
+    return (write(tmp_path, "i.json", serialize.encode_structure(a.structure())),
+            write(tmp_path, "j.json", serialize.encode_structure(b.structure())),
+            serialize.encode_metric(g))
+
+
+def test_section_rejects_flat_vector(tmp_path, capsys):
+    pi, pj, gdoc = _section_files(tmp_path)
+    pg = write(tmp_path, "g.json", gdoc)
+    wi = write(tmp_path, "wi.json", [1.0, 0.0, 0.5])
+    wj = write(tmp_path, "wj.json", [[0.5, 0], [0, 0], [1, 0]])
+    code = main(["section", "--i", pi, "--j", pj, "--metric", pg,
+                 "--wi", wi, "--wj", wj])
+    assert code == 2
+    assert "wi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g", [[[1.0, 5.0], [-5.0, 1.0]],
+                               [[1.0, 0.0], [0.0, float("nan")]]])
+def test_section_rejects_malformed_metric(tmp_path, capsys, g):
+    pi, pj, gdoc = _section_files(tmp_path)
+    gdoc["g"] = g
+    pg = write(tmp_path, "g.json", gdoc)
+    wi = write(tmp_path, "wi.json", [[1.0, 0], [0, 1], [0, 0]])
+    code = main(["section", "--i", pi, "--j", pj, "--metric", pg,
+                 "--wi", wi, "--wj", wi])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad input" in err and "'g'" in err
 
 
 def test_transport_cli(tmp_path, capsys):

@@ -232,23 +232,24 @@ def test_compatible_metric_invariance(idm6):
         assert j.compatibility_residual(g) < 1e-12
 
 
-def test_factorize_thread_count_invariant(idm6):
-    # results merge deterministically: identical output for 1 and 3 workers
-    h = tk.Metric(random_spd(6, np.random.default_rng(804), cond=40.0))
-    a = tk.pair_factorize(idm6, h, tk.FactorizeOptions(seed=3, threads=1))
-    b = tk.pair_factorize(idm6, h, tk.FactorizeOptions(seed=3, threads=3))
-    assert np.array_equal(a.g, b.g)
-
-
 def test_import_defers_scipy_optimize():
-    # Only the Nelder-Mead restarts use scipy.optimize; a plain import of the
-    # package must not pay for it.
+    # The factorizer does not use scipy.optimize: neither a plain import of
+    # the package nor a failing pair_factorize may load it.
     import os
     import subprocess
     import sys
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, toruskit; print('scipy.optimize' in sys.modules)"
+    code = "\n".join([
+        "import sys, numpy as np, toruskit as tk",
+        "from toruskit.linalg import random_spd",
+        "print('scipy.optimize' in sys.modules)",
+        "h = tk.Metric(random_spd(6, np.random.default_rng([6100, 25]), cond=100.0))",
+        "try:",
+        "    tk.pair_factorize(tk.identity_metric(6), h)",
+        "except tk.FactorizationFailed:",
+        "    print('failed', 'scipy.optimize' in sys.modules)",
+    ])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "failed", "False"]

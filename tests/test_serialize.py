@@ -139,3 +139,24 @@ def test_ext_class_rejects_zero_block_index():
     # 1-based on the wire: "1,0" would alias the last block as index -1
     with pytest.raises(ValueError, match="'1,0'"):
         serialize.decode(_ext_doc({"1,0": [[[[1.0, 0.0]]]] * 3}))
+
+
+@pytest.mark.parametrize("g", [[[1.0, 5.0], [-5.0, 1.0]], [[1.0, 0.0, 0.0]],
+                               [[1.0, 0.0], [0.0, float("inf")]], [1.0, 2.0],
+                               [[1.0], [2.0, 3.0]]])
+def test_metric_rejects_malformed_g(g):
+    with pytest.raises(ValueError, match="'g'"):
+        serialize.decode({"type": "metric", "backend": "f64", "g": g})
+
+
+@pytest.mark.parametrize("doc", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, float("nan")]],
+                                 [[1.0, 0.0], [2.0]], 3.0])
+def test_complex_vector_rejects_malformed(doc):
+    with pytest.raises(ValueError, match="^w is not"):
+        serialize.parse_complex_vector(doc, "w")
+
+
+def test_complex_vector_roundtrip():
+    v = np.array([1.5 - 2j, 0.25j, -3.0])
+    back = serialize.parse_complex_vector(serialize.complex_vector(v), "v")
+    assert back.tobytes() == v.tobytes()

@@ -124,6 +124,31 @@ def test_structure_validation_rejects_non_square_root():
         tk.ComplexStructure(np.eye(6))
 
 
+def _large_structure():
+    # Near-degenerate periods: columns 5 and 6 differ by 1e-6, so the induced
+    # structure, computed by a backward-stable solve, has ||J||_F about 3e6.
+    rng = np.random.default_rng(18)
+    p = rng.uniform(-1, 1, (3, 6)) + 1j * rng.uniform(-1, 1, (3, 6))
+    p[:, 5] = p[:, 4] + 1e-6 * (rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
+    return tk.make_torus(p).induced_structure()
+
+
+def test_structure_validation_accepts_large_norm():
+    j = _large_structure().j
+    norm = np.linalg.norm(j)
+    assert 1e6 < norm < 1e7
+    # above the relative 1e-10 bound: only the rounding floor admits it
+    assert np.linalg.norm(j @ j + np.eye(6)) / norm > 1e-10
+
+
+def test_structure_validation_rejects_large_norm_perturbed():
+    j = np.array(_large_structure().j)
+    k = np.unravel_index(np.argmax(np.abs(j)), j.shape)
+    j[k] *= 1 + 1e-6
+    with pytest.raises(ValueError):
+        tk.ComplexStructure(j)
+
+
 def test_metric_validation():
     with pytest.raises(ValueError):
         tk.Metric(np.diag([1.0, -1, 1, 1, 1, 1]))
