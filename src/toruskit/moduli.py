@@ -11,6 +11,7 @@ seeded random starts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -179,15 +180,31 @@ def _doubled(vals: np.ndarray) -> np.ndarray:
     return np.repeat(vals, 2)
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(n2: int):
+    return np.triu_indices(n2, 1)
+
+
 def _skew_from_params(theta: np.ndarray, n2: int) -> np.ndarray:
+    """Skew matrix with theta on the strict upper triangle, row by row.
+
+    The lower triangle takes -theta elementwise, so a zero parameter leaves
+    -0.0 there.
+    """
+    rows, cols = _upper_indices(n2)
     k = np.zeros((n2, n2))
-    idx = 0
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            k[a, b] = theta[idx]
-            k[b, a] = -theta[idx]
-            idx += 1
+    k[rows, cols] = theta
+    k[cols, rows] = -theta
     return k
+
+
+@lru_cache(maxsize=None)
+def _skew_generators(n2: int) -> np.ndarray:
+    """The unit skew generators in parameter order, as one read-only stack."""
+    ntheta = n2 * (n2 - 1) // 2
+    gens = np.stack([_skew_from_params(e, n2) for e in np.eye(ntheta)])
+    gens.flags.writeable = False
+    return gens
 
 
 def _cyclic_chain(d: np.ndarray):
@@ -251,6 +268,27 @@ def _cycle_arrangement_starts(h_hat: np.ndarray, limit: int = 12) -> list:
     return starts
 
 
+def _warm_starts(h_hat: np.ndarray) -> list:
+    """(q, t) starts in job order: the interleaved-pairing closed form (on
+    the diagonal itself for a diagonal target, then in the eigenframe),
+    the eigenframe at the pair means, the identity, and the cycle
+    arrangements."""
+    n2 = h_hat.shape[0]
+    off_diag = frob(h_hat - np.diag(np.diag(h_hat)))
+    starts: list[tuple[np.ndarray, np.ndarray]] = []
+    if off_diag <= 1e-12 * max(frob(h_hat), 1.0):
+        alpha, _, _ = _cyclic_chain(np.diag(h_hat))
+        starts.append((np.eye(n2), -0.5 * np.log(alpha)))
+    wv, qv = np.linalg.eigh(h_hat)
+    alpha, _, _ = _cyclic_chain(wv)
+    starts.append((qv, -0.5 * np.log(np.abs(alpha))))
+    pair_means = np.sqrt(wv[0::2] * wv[1::2])
+    starts.append((qv, -0.5 * np.log(pair_means)))
+    starts.append((np.eye(n2), np.zeros(n2 // 2)))
+    starts.extend(_cycle_arrangement_starts(h_hat))
+    return starts
+
+
 class _FactorizeProblem:
     """Work in the frame where g = Id and h is scale-normalized.
 
@@ -307,6 +345,35 @@ class _FactorizeProblem:
             gaps = w[1::2] - w[0::2]
             return float(np.sum(gaps * gaps))
 
+    def jacobian(self, q: np.ndarray, t: np.ndarray, y: np.ndarray,
+                 v: np.ndarray, means) -> np.ndarray:
+        """Jacobian of the pair residuals at Y = y_matrix(q, t).
+
+        Columns: the unit skew generators acting on q, then the log-scale of
+        each eigenvalue pair of Y. Rows: per pair (a, b) of eigenvectors v,
+        the diagonal difference and twice the off-diagonal of dR, both over
+        the pair mean. Every product is a batched matmul, which runs the same
+        BLAS call on each slice as the one-column-at-a-time form, so the
+        result is the same to the bit. Keep the association orders and the
+        v^T dR side: dR @ v or an einsum would round differently.
+        """
+        gens = _skew_generators(self.n2)
+        d_exp = _doubled(np.exp(np.clip(t - np.mean(t), -40.0, 40.0)))
+        # row k selects the pair k of d_exp: the scale direction of pair k
+        sel = np.repeat(np.eye(self.n), 2, axis=1) * d_exp
+        dy = np.concatenate([gens @ y - y @ gens,
+                             (q * sel[:, None, :]) @ q.T])
+        dr = dy @ self.h @ y + (y @ self.h) @ dy
+        jac = np.empty((2 * self.n, len(dr)))
+        for pi in range(self.n):
+            va = v[:, 2 * pi, None]
+            vb = v[:, 2 * pi + 1, None]
+            ua = va.T @ dr
+            ub = vb.T @ dr
+            jac[2 * pi] = ((ua @ va) - (ub @ vb))[:, 0, 0] / means[pi]
+            jac[2 * pi + 1] = 2.0 * (ua @ vb)[:, 0, 0] / means[pi]
+        return jac
+
     def polish(self, q: np.ndarray, t: np.ndarray, max_iter: int = 60):
         """Gauss-Newton on the relative pair-gap residuals.
 
@@ -331,23 +398,7 @@ class _FactorizeProblem:
             res = np.array(res)
             if np.sum(res * res) < 1e-28:
                 break
-            cols = []
-            d_exp = _doubled(np.exp(np.clip(t - np.mean(t), -40.0, 40.0)))
-            for k in range(ntheta):
-                e = _skew_from_params(np.eye(ntheta)[k], self.n2)
-                dy = e @ y - y @ e
-                cols.append(dy @ self.h @ y + y @ self.h @ dy)
-            for idx in range(self.n):
-                sel = np.zeros(self.n2)
-                sel[2 * idx] = sel[2 * idx + 1] = d_exp[2 * idx]
-                dy = (q * sel) @ q.T
-                cols.append(dy @ self.h @ y + y @ self.h @ dy)
-            jac = np.zeros((2 * self.n, ntheta + self.n))
-            for c, dr in enumerate(cols):
-                for pi, (a, b) in enumerate(pairs):
-                    jac[2 * pi, c] = (v[:, a] @ dr @ v[:, a]
-                                      - v[:, b] @ dr @ v[:, b]) / means[pi]
-                    jac[2 * pi + 1, c] = 2.0 * float(v[:, a] @ dr @ v[:, b]) / means[pi]
+            jac = self.jacobian(q, t, y, v, means)
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
             norm = np.linalg.norm(step)
             if norm > 3.0:
@@ -389,19 +440,7 @@ def pair_factorize(g: Metric, h: Metric, opts: FactorizeOptions | None = None) -
     scale = float(np.exp(logdet / n2))
     h_hat = h_t / scale
     problem = _FactorizeProblem(h_hat)
-
-    off_diag = frob(h_hat - np.diag(np.diag(h_hat)))
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    if off_diag <= 1e-12 * max(frob(h_hat), 1.0):
-        alpha, _, _ = _cyclic_chain(np.diag(h_hat))
-        starts.append((np.eye(n2), -0.5 * np.log(alpha)))
-    wv, qv = np.linalg.eigh(h_hat)
-    alpha, _, _ = _cyclic_chain(wv)
-    starts.append((qv, -0.5 * np.log(np.abs(alpha))))
-    pair_means = np.sqrt(wv[0::2] * wv[1::2])
-    starts.append((qv, -0.5 * np.log(pair_means)))
-    starts.append((np.eye(n2), np.zeros(n2 // 2)))
-    starts.extend(_cycle_arrangement_starts(h_hat))
+    starts = _warm_starts(h_hat)
 
     success_defect = 1e-26
 

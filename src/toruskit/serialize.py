@@ -78,23 +78,34 @@ def encode_metric(m: Metric) -> dict:
     return {"type": "metric", "backend": "f64", "g": real_matrix(m.g)}
 
 
-def decode_metric(doc: dict) -> Metric:
-    """Metric from its document; g must be a finite symmetric square matrix.
-
-    A document is rejected, never repaired; the symmetrization inside Metric
-    is for matrices computed in the library.
-    """
+def _square_matrix(doc, name: str) -> np.ndarray:
+    """A finite, non-empty, square real matrix; errors name it as `name`."""
     try:
-        g = parse_real_matrix(doc["g"])
+        m = parse_real_matrix(doc)
     except (TypeError, ValueError):
-        raise ValueError("metric key 'g' is not a matrix of numbers") from None
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
-        raise ValueError(f"metric key 'g' must be a square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("metric key 'g' has non-finite entries")
+        raise ValueError(f"{name} is not a matrix of numbers") from None
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
+def _parse_metric(doc, name: str) -> Metric:
+    """Metric from a document matrix, which must be finite, square and
+    symmetric. A document is rejected, never repaired; the symmetrization
+    inside Metric is for matrices computed in the library."""
+    g = _square_matrix(doc, name)
     if frob(g - g.T) > 1e-12 * frob(g):
-        raise ValueError("metric key 'g' is not symmetric")
-    return Metric(g)
+        raise ValueError(f"{name} is not symmetric")
+    try:
+        return Metric(g)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
+def decode_metric(doc: dict) -> Metric:
+    return _parse_metric(doc["g"], "metric key 'g'")
 
 
 def encode_structure(j: ComplexStructure) -> dict:
@@ -215,10 +226,23 @@ def encode_chain(chain: Chain) -> dict:
 
 
 def decode_chain(doc: dict) -> Chain:
-    return Chain(structures=tuple(ComplexStructure(parse_real_matrix(m))
-                                  for m in doc["structures"]),
-                 metrics=tuple(Metric(parse_real_matrix(m))
-                               for m in doc["metrics"]))
+    """Chain from its document. Each structure must be a finite square
+    matrix and each hop metric passes decode_metric's checks; an error names
+    the entry as structures[k] or metrics[k]."""
+    for key in ("structures", "metrics"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"chain key {key!r} must be a list")
+    structures = []
+    for k, m in enumerate(doc["structures"]):
+        name = f"chain structures[{k}]"
+        j = _square_matrix(m, name)
+        try:
+            structures.append(ComplexStructure(j))
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+    metrics = tuple(_parse_metric(m, f"chain metrics[{k}]")
+                    for k, m in enumerate(doc["metrics"]))
+    return Chain(structures=tuple(structures), metrics=metrics)
 
 
 def encode_ext_class(nu: ExtClass) -> dict:

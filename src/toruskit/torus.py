@@ -169,9 +169,11 @@ class ComplexStructure:
 
     def __post_init__(self):
         j = np.asarray(self.j, dtype=float)
-        two_n = j.shape[0]
-        if j.shape != (two_n, two_n) or two_n % 2:
+        if j.ndim != 2 or j.shape[0] != j.shape[1] or j.shape[0] % 2:
             raise ValueError(f"J must be square of even size, got {j.shape}")
+        two_n = j.shape[0]
+        if not np.all(np.isfinite(j)):
+            raise ValueError("J has non-finite entries")
         # Besides the relative bound, allow the rounding floor of the float
         # product J @ J, about 2n eps ||J||^2, which dominates for large ||J||.
         norm = frob(j)

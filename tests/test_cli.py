@@ -131,6 +131,17 @@ def test_connect_cli_golden_bytes(tmp_path, capsys, pair, seed):
         jsonschema.validate(json.loads(out), json.load(fh))
 
 
+def test_connect_rejects_non_finite_structure(tmp_path, capsys):
+    from conftest import general_position_pair
+    i, j = general_position_pair(3)
+    doc = serialize.encode_structure(i)
+    doc["j"][0][1] = float("nan")
+    pi = write(tmp_path, "i.json", doc)
+    pj = write(tmp_path, "j.json", serialize.encode_structure(j))
+    assert main(["connect", "--i", pi, "--j", pj, "--seed", "7"]) == 2
+    assert "bad input: J has non-finite entries" in capsys.readouterr().err
+
+
 def test_section_cli_and_not_transversal(tmp_path, capsys):
     g = tk.identity_metric(6)
     from toruskit.twistor import random_transversal_pair

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import toruskit as tk
-from toruskit.linalg import random_spd
-from toruskit.moduli import _cyclic_chain, compatible_metric, pair_defect
+from toruskit.linalg import haar_orthogonal, random_spd
+from toruskit.moduli import (_cyclic_chain, _FactorizeProblem, _skew_from_params,
+                             _warm_starts, compatible_metric, pair_defect)
 
 from conftest import general_position_pair
 
@@ -253,3 +254,119 @@ def test_import_defers_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["False", "failed", "False"]
+
+
+def _skew_from_params_loop(theta, n2):
+    """The double loop that _skew_from_params replaced: the bit-for-bit oracle."""
+    k = np.zeros((n2, n2))
+    idx = 0
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            k[a, b] = theta[idx]
+            k[b, a] = -theta[idx]
+            idx += 1
+    return k
+
+
+def _jacobian_loop(problem, q, t, y, v, means):
+    """The column-at-a-time Jacobian that _FactorizeProblem.jacobian replaced:
+    the bit-for-bit oracle."""
+    n2, n = problem.n2, problem.n
+    ntheta = n2 * (n2 - 1) // 2
+    pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+    cols = []
+    d_exp = np.repeat(np.exp(np.clip(t - np.mean(t), -40.0, 40.0)), 2)
+    for k in range(ntheta):
+        e = _skew_from_params_loop(np.eye(ntheta)[k], n2)
+        dy = e @ y - y @ e
+        cols.append(dy @ problem.h @ y + y @ problem.h @ dy)
+    for idx in range(n):
+        sel = np.zeros(n2)
+        sel[2 * idx] = sel[2 * idx + 1] = d_exp[2 * idx]
+        dy = (q * sel) @ q.T
+        cols.append(dy @ problem.h @ y + y @ problem.h @ dy)
+    jac = np.zeros((2 * n, ntheta + n))
+    for c, dr in enumerate(cols):
+        for pi, (a, b) in enumerate(pairs):
+            jac[2 * pi, c] = (v[:, a] @ dr @ v[:, a]
+                              - v[:, b] @ dr @ v[:, b]) / means[pi]
+            jac[2 * pi + 1, c] = 2.0 * float(v[:, a] @ dr @ v[:, b]) / means[pi]
+    return jac
+
+
+def _assert_jacobian_matches_loop(problem, q, t):
+    # the frame polish linearizes at
+    y = problem.y_matrix(q, t)
+    w, v = np.linalg.eigh(y @ problem.h @ y)
+    means = [max(0.5 * (w[a] + w[a + 1]), 1e-300) for a in range(0, problem.n2, 2)]
+    jac = problem.jacobian(q, t, y, v, means)
+    assert jac.tobytes() == _jacobian_loop(problem, q, t, y, v, means).tobytes()
+
+
+def _criterion6_problem(seed):
+    h = random_spd(6, np.random.default_rng([6100, seed]), cond=100.0)
+    h_hat = h / np.exp(np.linalg.slogdet(h)[1] / 6)
+    return _FactorizeProblem(h_hat), _warm_starts(h_hat)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_jacobian_matches_loop(seed):
+    problem, starts = _criterion6_problem(seed)
+    # every warm start, the eigh frame among them as eigh returns it
+    for q0, t0 in starts:
+        _assert_jacobian_matches_loop(problem, q0, t0)
+    for k in range(len(starts), len(starts) + 4):
+        rng = np.random.default_rng([seed, k])
+        _assert_jacobian_matches_loop(problem, haar_orthogonal(6, rng),
+                                      rng.normal(scale=1.0, size=3))
+
+
+def test_jacobian_matches_loop_near_convergence():
+    # six Gauss-Newton steps from the closed form: one short of convergence
+    problem, starts = _criterion6_problem(0)
+    q, t, defect = problem.polish(*starts[0], max_iter=6)
+    assert 1e-26 < defect < 1e-10
+    _assert_jacobian_matches_loop(problem, q, t)
+
+
+def test_skew_from_params_matches_loop():
+    theta = np.random.default_rng(3).standard_normal(15)
+    theta[[0, 4, 14]] = 0.0
+    theta[7] = -0.0
+    for th in (theta, np.eye(15)[5], np.zeros(15)):
+        new, old = _skew_from_params(th, 6), _skew_from_params_loop(th, 6)
+        assert new.tobytes() == old.tobytes()
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+# sha256 of best.g.tobytes() + repr(defect) of a failed factorization,
+# recorded with the column-at-a-time Jacobian; the batched one must give the
+# same bytes.
+FAILED_FACTORIZATION_GOLDEN = {
+    "criterion6_seed7": "93eafc4f2d1c5c28ba7bfdc63192de66184869f897141a5b7420ed7b1fc01479",
+    "weyl_infeasible": "d50ab59fafbf7a04346b79e3b0e367c57eac30d24875859ce6ebcd580f429e86",
+}
+
+
+def _weyl_infeasible_target(rng):
+    # log-spectrum (t, 0, 0, 0, 0, 0), t > 0, in a Haar frame: the Weyl
+    # inequalities for a product of two doubled spectra rule it out
+    q = haar_orthogonal(6, rng)
+    spec = np.ones(6)
+    spec[0] = np.exp(float(rng.uniform(1.0, 2.0)))
+    return tk.Metric((q * spec) @ q.T)
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_FACTORIZATION_GOLDEN))
+def test_failed_factorization_golden_bytes(idm6, name):
+    import hashlib
+    if name == "criterion6_seed7":
+        h = tk.Metric(random_spd(6, np.random.default_rng([6100, 7]), cond=100.0))
+        opts = tk.FactorizeOptions(seed=7)
+    else:
+        h = _weyl_infeasible_target(np.random.default_rng(2024))
+        opts = tk.FactorizeOptions(seed=0)
+    with pytest.raises(tk.FactorizationFailed) as err:
+        tk.pair_factorize(idm6, h, opts)
+    payload = err.value.best.g.tobytes() + repr(err.value.defect).encode()
+    assert hashlib.sha256(payload).hexdigest() == FAILED_FACTORIZATION_GOLDEN[name]

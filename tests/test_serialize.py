@@ -8,7 +8,7 @@ from toruskit import serialize
 from toruskit.bundles import Character, ExtClass, GradedFlatBundle
 from toruskit.fourier import FourierForm, FourierFormSpace
 
-from conftest import t0_exact, t0_periods
+from conftest import general_position_pair, t0_exact, t0_periods
 
 
 def roundtrip(doc):
@@ -64,6 +64,37 @@ def test_chain_roundtrip(idm6):
     assert back.hops == chain.hops
     assert tk.verify_chain(back).ok
     assert doc["residual"] < 1e-8
+
+
+def _chain_doc():
+    i, j = general_position_pair(3)
+    return serialize.encode_chain(tk.connect(i, j, tk.ConnectOptions(seed=7)))
+
+
+def test_chain_roundtrip_connect_output():
+    doc = _chain_doc()
+    back = roundtrip(doc)
+    assert doc["hops"] == 3 and back.hops == 3
+    assert serialize.dumps(serialize.encode_chain(back)) == serialize.dumps(doc)
+
+
+@pytest.mark.parametrize("g", [[[1.0, 5.0], [-5.0, 1.0]],
+                               [[1.0, 0.0], [0.0, float("nan")]]])
+def test_chain_rejects_malformed_hop_metric(g):
+    # the antisymmetric part of [[1, 5], [-5, 1]] would be dropped by Metric,
+    # leaving the identity, which verify_chain accepts
+    doc = _chain_doc()
+    doc["metrics"][1] = g
+    with pytest.raises(ValueError, match=r"metrics\[1\]"):
+        serialize.decode(doc)
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_chain_rejects_non_finite_structure(entry):
+    doc = _chain_doc()
+    doc["structures"][2][0][3] = entry
+    with pytest.raises(ValueError, match=r"structures\[2\] has non-finite"):
+        serialize.decode(doc)
 
 
 def test_ext_class_roundtrip():

@@ -124,6 +124,21 @@ def test_structure_validation_rejects_non_square_root():
         tk.ComplexStructure(np.eye(6))
 
 
+@pytest.mark.parametrize("j", [5.0, [1.0, 0.0], np.zeros((3, 3)), np.zeros((2, 4))])
+def test_structure_validation_rejects_shape(j):
+    with pytest.raises(ValueError, match="square of even size"):
+        tk.ComplexStructure(j)
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_structure_validation_rejects_non_finite(j0, entry):
+    # a NaN residual compares False against any bound
+    j = np.array(j0.j)
+    j[1, 4] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        tk.ComplexStructure(j)
+
+
 def _large_structure():
     # Near-degenerate periods: columns 5 and 6 differ by 1e-6, so the induced
     # structure, computed by a backward-stable solve, has ||J||_F about 3e6.
