@@ -262,6 +262,9 @@ def pq_decompose(w: MultiVector, j: ComplexStructure,
 
 def hodge_type(w: MultiVector, j: ComplexStructure, tol: float = 1e-9):
     """(p,q) if w is pure of that type at tolerance, else None for mixed w."""
+    if w.dim != j.dim:
+        raise ValueError(f"multivector of dim {w.dim} does not match the "
+                         f"structure of dim {j.dim}")
     total = w.norm()
     if total == 0:
         return None

@@ -83,82 +83,77 @@ def common_structure_from_metrics(g: Metric, g1: Metric,
     return ComplexStructure(j)
 
 
+@lru_cache(maxsize=None)
+def _symmetric_basis(n2: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric n2 x n2 matrices, entries (a, b)
+    with a <= b in row order, as one read-only stack."""
+    rows, cols = np.triu_indices(n2)
+    basis = np.zeros((len(rows), n2, n2))
+    k = np.arange(len(rows))
+    off = np.where(rows == cols, 1.0, 1.0 / np.sqrt(2.0))
+    basis[k, rows, cols] = off
+    basis[k, cols, rows] = off
+    basis.flags.writeable = False
+    return basis
+
+
 def invariant_metric_subspace(i: ComplexStructure, j: ComplexStructure,
-                              rtol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormal basis of {M symmetric : I^T M I = M and J^T M J = M}."""
-    n2 = i.dim
-    basis = []
-    for a in range(n2):
-        for b in range(a, n2):
-            e = np.zeros((n2, n2))
-            if a == b:
-                e[a, a] = 1.0
-            else:
-                e[a, b] = e[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-    rows = []
-    for e in basis:
-        for s in (i.j, j.j):
-            f = s.T @ e @ s - e
-            rows.append([float(np.sum(f * g)) for g in basis])
-    a = np.array(rows)
+                              rtol: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of {M symmetric : I^T M I = M and J^T M J = M},
+    as a (k, n2, n2) stack; k = 0 when only M = 0 is invariant.
+
+    The nullspace of the map M -> (I^T M I - M, J^T M J - M) in the
+    coordinates of _symmetric_basis: rows are indexed by (structure, g),
+    columns by the basis element e it is applied to.
+    """
+    basis = _symmetric_basis(i.dim)
+    a = np.concatenate([
+        np.tensordot(basis, s.T @ basis @ s - basis, axes=([1, 2], [1, 2]))
+        for s in (i.j, j.j)])
     _, sv, vt = np.linalg.svd(a)
-    null = [vt[r] for r in range(len(basis))
-            if r >= len(sv) or sv[r] <= rtol * max(sv[0], 1.0)]
-    return [sum(c * e for c, e in zip(v, basis)) for v in null]
+    null = vt[sv <= rtol * max(sv[0], 1.0)]
+    return np.tensordot(null, basis, axes=1)
 
 
-def common_metric(i: ComplexStructure, j: ComplexStructure,
-                  max_iter: int = 5000, min_eig: float = 1e-7):
+def _average(m: np.ndarray, s: ComplexStructure) -> np.ndarray:
+    """The {1, s}-average of a symmetric matrix: preserved by s."""
+    return 0.5 * (m + s.j.T @ m @ s.j)
+
+
+# common_metric's cap on {1, I}, {1, J} averaging rounds, and the smallest
+# eigenvalue (at trace 2n) that counts as positive definite.
+AVERAGE_ROUNDS = 100
+MIN_EIG = 1e-7
+
+
+def common_metric(i: ComplexStructure, j: ComplexStructure):
     """A flat metric preserved by both structures, or None.
 
-    Searches the invariant symmetric subspace for a positive definite element
-    (unit-trace slice) by Dykstra alternating projections between the slice
-    and a shifted positive semidefinite cone. Absence of a witness is reported
-    as None, not proven infeasibility.
+    None for an empty invariant span is a proof that no shared metric exists.
+    Otherwise the identity is averaged over {1, I} and over {1, J} in turn,
+    and each average is projected onto the span and scaled to trace 2n; the
+    first positive definite projection is returned. If a shared metric g
+    exists, both averages are orthogonal projections in the inner product
+    tr(g^-1 A g^-1 B), so by von Neumann's theorem the averages converge to
+    the average of Id over the compact group generated by I and J, which is
+    positive definite and invariant. A None after AVERAGE_ROUNDS proves
+    nothing.
     """
-    n2 = i.dim
     span = invariant_metric_subspace(i, j)
-    if not span:
+    if len(span) == 0:
         return None
-
-    def proj_span(x):
-        return sum(float(np.sum(x * e)) * e for e in span)
-
-    tau = proj_span(np.eye(n2))
-    tnorm2 = float(np.sum(tau * tau))
-    if tnorm2 < 1e-20:
-        return None  # all invariant elements are traceless: never PD
-
-    target_tr = float(n2)
-
-    def proj_slice(x):
-        p = proj_span(x)
-        return p + (target_tr - float(np.trace(p))) / tnorm2 * tau
-
-    delta = 1e-6
-
-    def proj_cone(x):
-        w, q = np.linalg.eigh(0.5 * (x + x.T))
-        return (q * np.maximum(w, delta)) @ q.T
-
-    x = proj_slice(np.eye(n2))
-    if min_eig_sym(x) > min_eig:
-        return Metric(x)
-    p = np.zeros((n2, n2))
-    q = np.zeros((n2, n2))
-    for it in range(max_iter):
-        y = proj_cone(x + p)
-        p = x + p - y
-        x_new = proj_slice(y + q)
-        q = y + q - x_new
-        drift = frob(x_new - x)
-        x = x_new
-        if min_eig_sym(x) > min_eig:
-            return Metric(x)
-        if drift < 1e-14 and it > 10:
-            break
-    return Metric(x) if min_eig_sym(x) > min_eig else None
+    n2 = i.dim
+    m = np.eye(n2)
+    for _ in range(AVERAGE_ROUNDS):
+        for s in (i, j):
+            m = _average(m, s)
+            x = np.tensordot(np.tensordot(span, m, axes=2), span, axes=1)
+            tr = float(np.trace(x))
+            if tr > 0:
+                x *= n2 / tr
+                if min_eig_sym(x) > MIN_EIG:
+                    return Metric(x)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +224,18 @@ def _cyclic_chain(d: np.ndarray):
     return alpha, beta, abs(np.log(closure))
 
 
-def _cycle_arrangement_starts(h_hat: np.ndarray, limit: int = 12) -> list:
+def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray,
+                              limit: int = 12) -> list:
     """Warm starts from eigenvalue arrangements around the pairing cycle.
 
-    The interleaved matchings close exactly when a 3-subset of eigenvalues
-    balances the alternating product; the arrangements with the smallest
-    closure mismatch (solved least-squares in logs) make the best seeds.
+    wv, qv is the eigendecomposition of the target. The interleaved matchings
+    close exactly when a 3-subset of eigenvalues balances the alternating
+    product; the arrangements with the smallest closure mismatch (solved
+    least-squares in logs) make the best seeds.
     """
-    from itertools import combinations, permutations
-    n2 = h_hat.shape[0]
+    from itertools import combinations, islice, permutations
+    n2 = len(wv)
     n = n2 // 2
-    wv, qv = np.linalg.eigh(h_hat)
     logd = np.log(wv)
     cands = []
     for sub in combinations(range(n2), n):
@@ -247,20 +243,22 @@ def _cycle_arrangement_starts(h_hat: np.ndarray, limit: int = 12) -> list:
         eps = abs(logd[list(sub)].sum() - logd[list(rest)].sum())
         cands.append((eps, sub, rest))
     cands.sort()
+    # the pairing cycle in logs: row 2k is alpha_k beta_k, row 2k+1 is
+    # alpha_{k+1} beta_k (indices mod n)
+    a = np.zeros((n2, n2))
+    for k in range(n):
+        a[2 * k, k] += 1
+        a[2 * k, n + k] += 1
+        a[2 * k + 1, (k + 1) % n] += 1
+        a[2 * k + 1, n + k] += 1
     starts = []
     for eps, sub, rest in cands:
-        for perm in list(permutations(rest))[: max(1, limit // len(cands) + 1)]:
+        for perm in islice(permutations(rest), max(1, limit // len(cands) + 1)):
             order = []
             for k in range(n):
                 order.append(sub[k])
                 order.append(perm[k])
             d = wv[list(order)]
-            a = np.zeros((n2, n2))
-            for k in range(n):
-                a[2 * k, k] += 1
-                a[2 * k, n + k] += 1
-                a[2 * k + 1, (k + 1) % n] += 1
-                a[2 * k + 1, n + k] += 1
             sol, *_ = np.linalg.lstsq(a, np.log(d), rcond=None)
             starts.append((qv[:, list(order)], -0.5 * sol[:n]))
             if len(starts) >= limit:
@@ -285,7 +283,7 @@ def _warm_starts(h_hat: np.ndarray) -> list:
     pair_means = np.sqrt(wv[0::2] * wv[1::2])
     starts.append((qv, -0.5 * np.log(pair_means)))
     starts.append((np.eye(n2), np.zeros(n2 // 2)))
-    starts.extend(_cycle_arrangement_starts(h_hat))
+    starts.extend(_cycle_arrangement_starts(wv, qv))
     return starts
 
 
@@ -332,17 +330,6 @@ class _FactorizeProblem:
         with np.errstate(over="ignore"):
             means = np.maximum(0.5 * (w[1::2] + w[0::2]), 1e-300)
             gaps = (w[1::2] - w[0::2]) / means
-            return float(np.sum(gaps * gaps))
-
-    def abs_defect(self, q: np.ndarray, t: np.ndarray) -> float:
-        """Sum of squared absolute gaps (the reported defect)."""
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = self.ratio_eigs(q, t)
-        except np.linalg.LinAlgError:
-            return np.inf
-        with np.errstate(over="ignore"):
-            gaps = w[1::2] - w[0::2]
             return float(np.sum(gaps * gaps))
 
     def jacobian(self, q: np.ndarray, t: np.ndarray, y: np.ndarray,
@@ -562,7 +549,7 @@ def compatible_metric(j: ComplexStructure, rng=None) -> Metric:
     else:
         from .linalg import random_spd
         base = random_spd(n2, rng, cond=4.0)
-    return Metric(0.5 * (base + j.j.T @ base @ j.j))
+    return Metric(_average(base, j))
 
 
 def _three_hops(i: ComplexStructure, j: ComplexStructure, rng,

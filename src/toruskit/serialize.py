@@ -10,6 +10,7 @@ ExtClass block keys are 1-based on the wire.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -197,10 +198,54 @@ def encode_multivector(w: MultiVector) -> dict:
             "terms": terms}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def decode_multivector(doc: dict) -> MultiVector:
-    terms = {tuple(i - 1 for i in t["indices"]): complex(t["re"], t["im"])
-             for t in doc["terms"]}
-    return MultiVector.from_terms(doc["dim"], doc["degree"], terms)
+    """MultiVector from its document. dim and degree are integers with
+    dim >= 2 and 0 <= degree <= dim. Each term has degree strictly increasing
+    1-based indices in 1..dim and finite numbers 're' and 'im', and no index
+    set occurs twice. An error names the entry as terms[k]."""
+    dim, degree, terms = doc["dim"], doc["degree"], doc["terms"]
+    if not (_is_int(dim) and dim >= 2):
+        raise ValueError(f"multivector dim must be an integer >= 2, got {dim!r}")
+    if not (_is_int(degree) and 0 <= degree <= dim):
+        raise ValueError(f"multivector degree must be an integer in 0..{dim}, "
+                         f"got {degree!r}")
+    if not isinstance(terms, list):
+        raise ValueError("multivector key 'terms' must be a list")
+    coeffs = {}
+    for k, t in enumerate(terms):
+        name = f"multivector terms[{k}]"
+        if not (isinstance(t, dict) and {"indices", "re", "im"} <= t.keys()):
+            raise ValueError(f"{name} must be an object with keys 'indices', "
+                             "'re' and 'im'")
+        idx = t["indices"]
+        if not (isinstance(idx, list) and len(idx) == degree
+                and all(_is_int(i) and 1 <= i <= dim for i in idx)
+                and all(a < b for a, b in zip(idx, idx[1:]))):
+            raise ValueError(f"{name} indices must be {degree} strictly "
+                             f"increasing 1-based indices in 1..{dim}, "
+                             f"got {idx!r}")
+        for part in ("re", "im"):
+            if not _is_finite_number(t[part]):
+                raise ValueError(f"{name} {part!r} must be a finite number, "
+                                 f"got {t[part]!r}")
+        subset = tuple(i - 1 for i in idx)
+        if subset in coeffs:
+            raise ValueError(f"{name} repeats the indices {idx!r}")
+        coeffs[subset] = complex(t["re"], t["im"])
+    return MultiVector.from_terms(dim, degree, coeffs)
 
 
 def encode_genericity(report: GenericityReport) -> dict:

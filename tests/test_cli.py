@@ -91,6 +91,110 @@ def test_hodge_type_pure_and_mixed(tmp_path, t0_file, capsys):
     assert code == 10 and json.loads(out)["pq"] is None
 
 
+def _multivector_doc(**term):
+    doc = serialize.encode_multivector(tk.MultiVector.basis_element(6, 0, 3))
+    doc["terms"][0].update(term)
+    return doc
+
+
+@pytest.mark.parametrize("term,message", [
+    ({"re": float("nan")}, "terms[0] 're' must be a finite number"),
+    ({"re": "x"}, "terms[0] 're' must be a finite number"),
+    ({"indices": [0, 4]}, "terms[0] indices must be 2 strictly increasing "
+                          "1-based indices in 1..6, got [0, 4]"),
+    ({"indices": [1, 7]}, "terms[0] indices must be 2 strictly increasing "
+                          "1-based indices in 1..6, got [1, 7]"),
+], ids=["nan", "string", "index-0", "index-past-dim"])
+def test_hodge_type_rejects_malformed_multivector(tmp_path, t0_file, capsys,
+                                                  term, message):
+    path = write(tmp_path, "w.json", _multivector_doc(**term))
+    assert main(["hodge-type", "--in", path, "--torus", t0_file]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_hodge_type_rejects_dimension_mismatch(tmp_path, t0_file, capsys):
+    path = write(tmp_path, "w.json",
+                 serialize.encode_multivector(tk.MultiVector.basis_element(4, 0, 1)))
+    assert main(["hodge-type", "--in", path, "--torus", t0_file]) == 2
+    assert ("multivector of dim 4 does not match the structure of dim 6"
+            in capsys.readouterr().err)
+
+
+# One mutation that makes a dim-6, degree-2 multivector document malformed
+# for the 6-dimensional torus T0: (target, key, value), where target "doc"
+# sets a document key, "term" sets a key of the chosen term, "drop" deletes
+# it, and "dup" appends a copy of the chosen term.
+_MALFORMING = (
+    [("doc", "dim", v) for v in (0, 1, 4, 8, -6, 6.0, "6", None, True)]
+    + [("doc", "degree", v) for v in (-1, 0, 1, 3, 7, 2.0, "2", None, True)]
+    + [("doc", "terms", v) for v in ({}, None, "x", 5)]
+    + [("term", part, v) for part in ("re", "im")
+       for v in (float("nan"), float("inf"), -float("inf"), "x", None, True,
+                 [1.0], 10 ** 400)]
+    + [("term", "indices", v) for v in ([0, 1], [1, 7], [2, 1], [3, 3], [1],
+                                        [1, 2, 3], [1.0, 2], [True, 2], "12",
+                                        None, [])]
+    + [("drop", key, None) for key in ("indices", "re", "im")]
+    + [("dup", None, None)]
+)
+
+
+def _mutated_multivector_strategy():
+    from itertools import combinations
+
+    from hypothesis import strategies as st
+    subsets = [list(s) for s in combinations(range(1, 7), 2)]
+    coeff = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    term = st.fixed_dictionaries({"indices": st.sampled_from(subsets),
+                                  "re": coeff, "im": coeff})
+    terms = st.lists(term, min_size=1, max_size=4,
+                     unique_by=lambda t: tuple(t["indices"]))
+    return st.tuples(terms, st.none() | st.sampled_from(_MALFORMING),
+                     st.integers(0, 3))
+
+
+def _apply_mutation(terms, mutation, k):
+    doc = {"type": "multivector", "dim": 6, "degree": 2,
+           "terms": [dict(t) for t in terms]}
+    if mutation is None:
+        return doc
+    target, key, value = mutation
+    term = doc["terms"][k % len(terms)]
+    if target == "doc":
+        doc[key] = value
+    elif target == "term":
+        term[key] = value
+    elif target == "drop":
+        del term[key]
+    else:
+        doc["terms"].append(dict(term))
+    return doc
+
+
+def test_hodge_type_fuzz_mutated_multivectors(tmp_path):
+    # Malformed documents exit 2; well-formed ones get a verdict, 0 or 10.
+    # No exception may escape cli.main.
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+    t0 = write(tmp_path, "t0.json",
+               serialize.encode_torus(tk.make_torus(t0_periods())))
+    path = tmp_path / "w.json"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_mutated_multivector_strategy())
+    def check(case):
+        terms, mutation, k = case
+        path.write_text(json.dumps(_apply_mutation(terms, mutation, k)))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["hodge-type", "--in", str(path), "--torus", t0])
+        assert code in ((0, 10) if mutation is None else (2,))
+
+    check()
+
+
 def test_connect_cli(tmp_path, capsys):
     from conftest import general_position_pair
     i, j = general_position_pair(3)

@@ -4,7 +4,8 @@ import pytest
 import toruskit as tk
 from toruskit.linalg import haar_orthogonal, random_spd
 from toruskit.moduli import (_cyclic_chain, _FactorizeProblem, _skew_from_params,
-                             _warm_starts, compatible_metric, pair_defect)
+                             _warm_starts, compatible_metric,
+                             invariant_metric_subspace, pair_defect)
 
 from conftest import general_position_pair
 
@@ -65,12 +66,44 @@ def test_common_metric_orthogonal_conjugate(idm6, j0):
 
 
 def test_common_metric_general_position_none():
-    missing = 0
+    # dimension count: 9 + 9 < 21, so the invariant span is empty, which
+    # proves that no shared metric exists
     for seed in range(20):
         i, j = general_position_pair(seed)
-        if tk.common_metric(i, j) is None:
-            missing += 1
-    assert missing >= 18  # dimension count: 9 + 9 < 21
+        assert len(invariant_metric_subspace(i, j)) == 0
+        assert tk.common_metric(i, j) is None
+
+
+def shared_metric_pair(seed, cond):
+    """A random SPD metric and two random structures that both preserve it."""
+    rng = np.random.default_rng([8800, seed])
+    g = tk.Metric(random_spd(6, rng, cond=cond))
+    return g, tk.random_structure(g, rng), tk.random_structure(g, rng)
+
+
+@pytest.mark.parametrize("cond", [10.0, 1e4])
+def test_common_metric_shared_random_metric(cond):
+    for seed in range(5):
+        _, i, j = shared_metric_pair(seed, cond)
+        g = tk.common_metric(i, j)
+        assert g is not None
+        assert max(i.compatibility_residual(g), j.compatibility_residual(g)) < 1e-8
+        chain = tk.connect(i, j, tk.ConnectOptions(seed=seed))
+        assert chain.hops == 1
+        assert tk.verify_chain(chain).ok
+
+
+def test_invariant_metric_subspace_orientation():
+    # the span is the kernel of M -> (I^T M I - M, J^T M J - M), not of its
+    # adjoint M -> (I M I^T - M, J M J^T - M); the two differ unless I and J
+    # are orthogonal
+    g, i, j = shared_metric_pair(0, 10.0)
+    span = invariant_metric_subspace(i, j)
+    in_span = np.tensordot(np.tensordot(span, g.g, axes=2), span, axes=1)
+    assert np.abs(in_span - g.g).max() < 1e-10 * np.abs(g.g).max()
+    for m in span:
+        for s in (i, j):
+            assert np.abs(s.j.T @ m @ s.j - m).max() < 1e-10
 
 
 def test_cyclic_chain_oracle():
