@@ -20,9 +20,9 @@ from .hodge import (GenericityReport, MultiVector, hodge_type, integral_pp_kerne
 from .twistor import (FiberValue, SectionVector, TwistorPoint, b_minus_curvature,
                       conjugate_point, horizontal_section, kappa, psi_transport,
                       section_solve, transversal, twistor_point)
-from .moduli import (Chain, ChainReport, ConnectOptions, FactorizeOptions, Pairing,
-                     common_metric, common_structure_from_metrics, connect,
-                     pair_factorize, paired_eigenvalues, verify_chain)
+from .moduli import (Chain, ChainReport, ConnectOptions, Pairing, common_metric,
+                     common_structure_from_metrics, connect, pair_factorize,
+                     paired_eigenvalues, verify_chain)
 from .bundles import (Character, ExtClass, GradedFlatBundle, MasseyResult,
                       dbar_square_residual, ext_dimension, flat_connection_check,
                       gauge_scale, massey_solve, mc_obstruction, obstruction_norm,

@@ -121,7 +121,7 @@ def _cmd_connect(args) -> int:
     seed = _seed_of(args)
     opts = moduli.ConnectOptions(
         seed=seed, certify_generic=args.certify_generic, bound=args.bound,
-        factorize=moduli.FactorizeOptions(seed=seed))
+        factorize_seed=seed)
     chain = moduli.connect(i, j, opts)
     doc = serialize.encode_chain(chain)
     doc["seed"] = seed

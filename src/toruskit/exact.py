@@ -2,7 +2,7 @@
 
 Scalars are p/q + (r/s)i with Fraction components; matrices are numpy object
 arrays over these scalars (or over plain Fractions for real data). Row
-reduction, nullspaces and inverses are exact, which is what the hodge module
+reduction, nullspaces and solves are exact, which is what the hodge module
 needs to decide integral (p,p) kernels and rational invariant planes.
 """
 
@@ -192,12 +192,6 @@ def solve_exact(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ZeroDivisionError("singular exact system")
     x = r[:, n:]
     return x.reshape(b.shape) if b.ndim > 1 else x[:, 0]
-
-
-def inv_exact(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    field = Fraction if isinstance(m[0, 0], Fraction) else (lambda v: QI(v))
-    return solve_exact(m, eye_exact(n, field))
 
 
 def split_re_im(m: np.ndarray):

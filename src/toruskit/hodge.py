@@ -95,7 +95,14 @@ class MultiVector:
                            np.array([complex(c) for c in self.coeffs]))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.to_float().coeffs))
+        c = self.to_float().coeffs
+        with np.errstate(over="ignore"):
+            total = float(np.linalg.norm(c))
+            if not np.isfinite(total):
+                # the sum of squares overflowed: scale by the largest part
+                big = float(np.max(np.abs(np.concatenate([c.real, c.imag]))))
+                total = big * float(np.linalg.norm(c / big))
+        return total
 
     def conj(self) -> "MultiVector":
         if self.backend == "f64":
@@ -470,32 +477,26 @@ def subtorus_search(torus: MarkedTorus, mode: str = "auto", bound: int = 10,
 def is_generic(torus: MarkedTorus, bound: int = 10) -> GenericityReport:
     """Genericity certification.
 
-    Exact tori are provably never generic (the rational structure makes
-    span{v, Jv} invariant for every lattice vector), so exact mode always
-    returns a witness. Float mode is a bounded heuristic: a clean sweep is
-    reported as NoObstructionFound(bound), never as a proof.
+    Exact tori are provably never generic: for a rational J, span_Q{e1, Je1}
+    is J-invariant and 2-dimensional, so exact subtorus_search returns its
+    saturated sublattice as a witness at the first basis vector. Float mode
+    is a bounded heuristic: a clean sweep is reported as
+    NoObstructionFound(bound), never as a proof.
     """
     if torus.n < 3:
         raise DimensionTooSmall(f"genericity needs n >= 3, got n = {torus.n}")
-    mode = "exact" if torus.backend == "rational" else "heuristic"
+    if torus.backend == "rational":
+        sub = subtorus_search(torus, mode="exact")
+        assert sub is not None, "span{e1, Je1} is invariant for a rational J"
+        return GenericityReport(verdict="non_generic", mode="exact", subtorus=sub)
+    mode = "heuristic"
     sub = subtorus_search(torus, mode=mode, bound=bound)
     if sub is not None:
-        return GenericityReport(verdict="non_generic", mode=mode,
-                                bound=None if mode == "exact" else bound,
+        return GenericityReport(verdict="non_generic", mode=mode, bound=bound,
                                 subtorus=sub)
     for p in (1, 2):
-        if mode == "exact":
-            kernel = integral_pp_kernel(torus, p)
-            if kernel:
-                return GenericityReport(verdict="non_generic", mode=mode,
-                                        pp_class=(p, kernel[0]))
-        else:
-            w = pp_class_heuristic(torus, p, bound=bound)
-            if w is not None:
-                return GenericityReport(verdict="non_generic", mode=mode,
-                                        bound=bound, pp_class=(p, w))
-    if mode == "exact":
-        # Unreachable in practice (the subtorus construction always fires), but
-        # the honest verdict would still not be "generic".
-        return GenericityReport(verdict="no_obstruction_found", mode=mode, bound=None)
+        w = pp_class_heuristic(torus, p, bound=bound)
+        if w is not None:
+            return GenericityReport(verdict="non_generic", mode=mode,
+                                    bound=bound, pp_class=(p, w))
     return GenericityReport(verdict="no_obstruction_found", mode=mode, bound=bound)

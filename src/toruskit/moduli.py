@@ -10,7 +10,7 @@ seeded random starts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +22,7 @@ from .torus import ComplexStructure, Metric, identity_metric, random_structure
 
 PAIRED_TOL = 1e-9
 FACTORIZE_PAIRED_TOL = 1e-7
+FACTORIZE_DEFECT_TOL = 1e-10
 HOP_TOL = 1e-8
 
 
@@ -162,13 +163,6 @@ def common_metric(i: ComplexStructure, j: ComplexStructure):
 
 # Random-start Gauss-Newton probes run after the warm starts.
 N_PROBES = 32
-
-
-@dataclass(frozen=True)
-class FactorizeOptions:
-    defect_tol: float = 1e-10
-    paired_tol: float = FACTORIZE_PAIRED_TOL
-    seed: int = 0
 
 
 def _doubled(vals: np.ndarray) -> np.ndarray:
@@ -406,19 +400,20 @@ class _FactorizeProblem:
         return q, t, best
 
 
-def pair_factorize(g: Metric, h: Metric, opts: FactorizeOptions | None = None) -> Metric:
+def pair_factorize(g: Metric, h: Metric, seed: int = 0) -> Metric:
     """Middle metric g1 with both ratios g->g1 and g1->h eigenvalue-paired.
 
     Normalizes to g = Id and parametrizes the candidate as an orthogonal
     conjugate of a doubled diagonal. One search runs a Gauss-Newton polish on
     the pair gaps of the remaining ratio, first from the warm starts (the
     interleaved-pairing closed form, which answers near-diagonal targets
-    outright, and the cycle arrangements), then from N_PROBES seeded random
-    starts, and stops at the first job that converges. Raises
-    FactorizationFailed with the best candidate, the smallest (defect, job
-    index), when the defect stays above tolerance.
+    outright, and the cycle arrangements), then from N_PROBES random starts
+    drawn from `seed`, and stops at the first job that converges. Success
+    means a pairing defect at most FACTORIZE_DEFECT_TOL and both ratios
+    paired at FACTORIZE_PAIRED_TOL. Every failure raises FactorizationFailed:
+    with the best candidate, the smallest (defect, job index), or with
+    best=None when rounding leaves that candidate indefinite.
     """
-    opts = opts or FactorizeOptions()
     w = g.sqrt_inv()
     h_t = w @ h.g @ w
     h_t = 0.5 * (h_t + h_t.T)
@@ -439,7 +434,7 @@ def pair_factorize(g: Metric, h: Metric, opts: FactorizeOptions | None = None) -
             q0, t0 = starts[k]
         else:
             # a per-job rng keeps each result a pure function of (inputs, seed, k)
-            rng = np.random.default_rng([opts.seed, k])
+            rng = np.random.default_rng([seed, k])
             q0 = haar_orthogonal(n2, rng)
             t0 = rng.normal(scale=1.0, size=problem.n)
         res = problem.polish(q0, t0)
@@ -457,15 +452,20 @@ def pair_factorize(g: Metric, h: Metric, opts: FactorizeOptions | None = None) -
     x_hat = problem.x_matrix(best_q, best_t)
     x_mat = 0.5 * scale * (x_hat + x_hat.T)
     w_inv = np.linalg.inv(w)
-    g1 = Metric(w_inv @ x_mat @ w_inv)
+    try:
+        g1 = Metric(w_inv @ x_mat @ w_inv)
+    except ValueError as err:
+        # X is positive definite, but a wide spread of t can leave it so
+        # ill-conditioned that the conjugation rounds it indefinite
+        raise FactorizationFailed(f"best candidate {err}") from None
     best_defect = pair_defect(g1, h)
-    ok = (best_defect <= opts.defect_tol
-          and paired_eigenvalues(g, g1, opts.paired_tol) is not None
-          and paired_eigenvalues(g1, h, opts.paired_tol) is not None)
+    ok = (best_defect <= FACTORIZE_DEFECT_TOL
+          and paired_eigenvalues(g, g1, FACTORIZE_PAIRED_TOL) is not None
+          and paired_eigenvalues(g1, h, FACTORIZE_PAIRED_TOL) is not None)
     if not ok:
         raise FactorizationFailed(
-            f"pairing defect {best_defect:.3e} above tolerance {opts.defect_tol:.1e}",
-            best=g1, defect=best_defect)
+            f"pairing defect {best_defect:.3e} above tolerance "
+            f"{FACTORIZE_DEFECT_TOL:.1e}", best=g1, defect=best_defect)
     return g1
 
 
@@ -530,15 +530,21 @@ def verify_chain(chain: Chain, tol: float = HOP_TOL) -> ChainReport:
                        hop_residuals=tuple(residuals))
 
 
+# connect's budget: random middles for the 6-hop route, and attempts per
+# 3-hop route (the first from the {1, J}-averages of Id).
+MAX_ATTEMPTS = 8
+DIRECT_RETRIES = 3
+
+
 @dataclass(frozen=True)
 class ConnectOptions:
+    """seed draws retries and middles; factorize_seed seeds each 3-hop route's
+    first pair_factorize; certify_generic checks middles at `bound`."""
+
     seed: int = 0
-    max_attempts: int = 8
-    direct_retries: int = 3
-    hop_tol: float = HOP_TOL
     certify_generic: bool = False
     bound: int = 10
-    factorize: FactorizeOptions = field(default_factory=FactorizeOptions)
+    factorize_seed: int = 0
 
 
 def compatible_metric(j: ComplexStructure, rng=None) -> Metric:
@@ -553,22 +559,21 @@ def compatible_metric(j: ComplexStructure, rng=None) -> Metric:
 
 
 def _three_hops(i: ComplexStructure, j: ComplexStructure, rng,
-                opts: ConnectOptions) -> Chain:
+                factorize_seed: int) -> Chain:
     last_err = None
-    for attempt in range(opts.direct_retries):
+    for attempt in range(DIRECT_RETRIES):
         g = compatible_metric(i, None if attempt == 0 else rng)
         h = compatible_metric(j, None if attempt == 0 else rng)
-        fopts = replace(opts.factorize,
-                        seed=int(rng.integers(0, 2 ** 32)) if attempt else opts.factorize.seed)
+        seed = int(rng.integers(0, 2 ** 32)) if attempt else factorize_seed
         try:
-            g1 = pair_factorize(g, h, fopts)
+            g1 = pair_factorize(g, h, seed)
         except FactorizationFailed as err:
             last_err = err
             continue
-        i1 = common_structure_from_metrics(g, g1, tol=opts.factorize.paired_tol)
-        i2 = common_structure_from_metrics(g1, h, tol=opts.factorize.paired_tol)
+        i1 = common_structure_from_metrics(g, g1, tol=FACTORIZE_PAIRED_TOL)
+        i2 = common_structure_from_metrics(g1, h, tol=FACTORIZE_PAIRED_TOL)
         chain = Chain(structures=(i, i1, i2, j), metrics=(g, g1, h))
-        if verify_chain(chain, opts.hop_tol).ok:
+        if verify_chain(chain).ok:
             return chain
     raise last_err or FactorizationFailed("no verified 3-hop chain", None, None)
 
@@ -585,8 +590,10 @@ def connect(i: ComplexStructure, j: ComplexStructure,
     """Chain of at most 6 hops between two structures on the same lattice.
 
     Strategy: 1 hop when a common metric exists; otherwise the direct 3-hop
-    route through a pair factorization; otherwise meet-in-the-middle through a
-    random intermediate structure (3 + 3 hops), retried with fresh middles.
+    route through a pair factorization, tried DIRECT_RETRIES times; otherwise
+    meet-in-the-middle through a random intermediate structure (3 + 3 hops),
+    retried with up to MAX_ATTEMPTS fresh middles. Each candidate chain is
+    checked with verify_chain at HOP_TOL; ChainNotFound when none passes.
     """
     opts = opts or ConnectOptions()
     if i.dim != j.dim:
@@ -597,25 +604,24 @@ def connect(i: ComplexStructure, j: ComplexStructure,
     g = common_metric(i, j)
     if g is not None:
         chain = Chain(structures=(i, j), metrics=(g,))
-        if verify_chain(chain, opts.hop_tol).ok:
+        if verify_chain(chain).ok:
             return chain
     try:
-        return _three_hops(i, j, rng, opts)
+        return _three_hops(i, j, rng, opts.factorize_seed)
     except FactorizationFailed:
         pass
-    for _ in range(opts.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         middle = random_structure(identity_metric(i.dim),
                                   int(rng.integers(0, 2 ** 32)))
         if opts.certify_generic and not _middle_is_generic(middle, opts.bound):
             continue
         try:
-            left = _three_hops(i, middle, rng, opts)
-            right = _three_hops(middle, j, rng, opts)
+            left = _three_hops(i, middle, rng, opts.factorize_seed)
+            right = _three_hops(middle, j, rng, opts.factorize_seed)
         except FactorizationFailed:
             continue
         chain = Chain(structures=left.structures + right.structures[1:],
                       metrics=left.metrics + right.metrics)
-        if verify_chain(chain, opts.hop_tol).ok:
+        if verify_chain(chain).ok:
             return chain
-    raise ChainNotFound(
-        f"no chain within {opts.max_attempts} random middles")
+    raise ChainNotFound(f"no chain within {MAX_ATTEMPTS} random middles")

@@ -1,4 +1,7 @@
-"""JSON encoding of the public value types.
+"""JSON documents of the CLI, one per schema in docs/schemas/: torus,
+metric, structure, multivector, chain, ext_class and fourier_form, which
+decode() dispatches on their "type", and the genericity report, which is only
+written. Section and transport vectors are bare lists of [re, im] pairs.
 
 Matrix conventions: real matrices are row-major arrays of numbers, complex
 matrices row-major arrays of [re, im] pairs. The rational backend serializes
@@ -20,7 +23,7 @@ from .bundles import Character, ExtClass, GradedFlatBundle
 from .hodge import GenericityReport, MultiVector
 from .linalg import frob
 from .moduli import Chain, verify_chain
-from .torus import ComplexStructure, IsotropicFrame, MarkedTorus, Metric, make_torus
+from .torus import ComplexStructure, MarkedTorus, Metric, make_torus
 
 
 def dumps(doc) -> str:
@@ -125,34 +128,6 @@ def decode_structure(doc: dict) -> ComplexStructure:
     return ComplexStructure(parse_real_matrix(doc["j"]))
 
 
-def encode_frame(f: IsotropicFrame) -> dict:
-    doc = {"type": "frame", "backend": f.backend, "tag": f.tag,
-           "basis": complex_matrix(f.basis)}
-    if f.backend == "rational" and f.basis_exact is not None:
-        doc["basis_exact"] = rational_matrix(f.basis_exact)
-    return doc
-
-
-def decode_frame(doc: dict) -> IsotropicFrame:
-    if doc.get("backend") == "rational" and "basis_exact" in doc:
-        bx = parse_rational_matrix(doc["basis_exact"])
-        return IsotropicFrame(basis=exact.to_complex(bx), backend="rational",
-                              basis_exact=bx)
-    return IsotropicFrame(basis=parse_complex_matrix(doc["basis"]),
-                          tag=doc.get("tag", "v01"))
-
-
-def encode_twistor_point(p) -> dict:
-    return {"type": "twistor_point", "frame": encode_frame(p.frame),
-            "metric": encode_metric(p.metric)}
-
-
-def decode_twistor_point(doc: dict):
-    from .twistor import TwistorPoint
-    return TwistorPoint(frame=decode_frame(doc["frame"]),
-                        metric=decode_metric(doc["metric"]))
-
-
 def complex_vector(v) -> list:
     return [[float(x.real), float(x.imag)] for x in np.asarray(v, complex)]
 
@@ -166,26 +141,6 @@ def parse_complex_vector(doc, name: str) -> np.ndarray:
     if a is None or a.ndim != 2 or a.shape[1] != 2 or not np.all(np.isfinite(a)):
         raise ValueError(f"{name} is not a list of finite [re, im] pairs")
     return a[:, 0] + 1j * a[:, 1]
-
-
-def encode_section_vector(s) -> dict:
-    return {"type": "section_vector", "v": complex_vector(s.v)}
-
-
-def decode_section_vector(doc: dict):
-    from .twistor import SectionVector
-    return SectionVector(v=parse_complex_vector(doc["v"], "v"))
-
-
-def encode_fiber_value(f) -> dict:
-    return {"type": "fiber_value", "w": complex_vector(f.w),
-            "at": encode_twistor_point(f.at)}
-
-
-def decode_fiber_value(doc: dict):
-    from .twistor import FiberValue
-    return FiberValue(w=parse_complex_vector(doc["w"], "w"),
-                      at=decode_twistor_point(doc["at"]))
 
 
 def encode_multivector(w: MultiVector) -> dict:
@@ -357,10 +312,6 @@ _DECODERS = {
     "torus": decode_torus,
     "metric": decode_metric,
     "structure": decode_structure,
-    "frame": decode_frame,
-    "twistor_point": decode_twistor_point,
-    "section_vector": decode_section_vector,
-    "fiber_value": decode_fiber_value,
     "multivector": decode_multivector,
     "chain": decode_chain,
     "ext_class": decode_ext_class,

@@ -7,8 +7,9 @@ Conventions used throughout the package:
 * For a complex structure J, V^{1,0} is the (+i)-eigenspace of J on the
   complexification and V^{0,1} the (-i)-eigenspace. Isotropic frames span
   V^{0,1} (tag "v01").
-* Two numeric backends: "f64" (numpy, default) and "rational"
-  (Gaussian-rational object arrays, exact).
+* Two numeric backends for tori and structures: "f64" (numpy, default) and
+  "rational" (Gaussian-rational periods with their exact rational J, as
+  object arrays). Frames are float only.
 """
 
 from __future__ import annotations
@@ -219,8 +220,6 @@ class IsotropicFrame:
 
     basis: np.ndarray
     tag: str = "v01"
-    backend: str = "f64"
-    basis_exact: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
@@ -247,36 +246,22 @@ class IsotropicFrame:
         return frob(b.T @ metric.g @ b) / frob(b.conj().T @ metric.g @ b)
 
     def conjugated(self) -> "IsotropicFrame":
-        bx = None
-        if self.basis_exact is not None:
-            bx = np.vectorize(lambda v: v.conjugate(), otypes=[object])(self.basis_exact)
-        return IsotropicFrame(basis=self.basis.conj(), backend=self.backend,
-                              basis_exact=bx)
+        return IsotropicFrame(basis=self.basis.conj())
 
 
 def frame_from_structure(j: ComplexStructure, metric: Metric,
                          tol: float = DEFAULT_TOL) -> IsotropicFrame:
     """Basis of the (-i)-eigenspace of J, g-isotropic for a compatible metric.
 
-    Raises NotCompatible when ||J^T g J - g|| exceeds tolerance. The float
-    path returns unitary columns (pivoted QR of the eigenprojector); the exact
-    path returns the projector's pivot columns so isotropy is exact.
+    Raises NotCompatible when ||J^T g J - g|| exceeds tolerance. Returns
+    unitary columns (pivoted QR of the eigenprojector), from the float J also
+    for a rational structure.
     """
     res = j.compatibility_residual(metric)
     if res > tol:
         raise NotCompatible(f"J^T g J != g (relative residual {res:.3e})")
     two_n = j.dim
     n = two_n // 2
-    if j.backend == "rational" and j.j_exact is not None:
-        proj = np.empty((two_n, two_n), dtype=object)
-        for r in range(two_n):
-            for c in range(two_n):
-                val = exact.QI(1 if r == c else 0) + exact.I_Q * j.j_exact[r, c]
-                proj[r, c] = val / 2
-        _, pivots = exact.rref(proj)
-        bx = proj[:, pivots[:n]]
-        return IsotropicFrame(basis=exact.to_complex(bx), backend="rational",
-                              basis_exact=bx)
     proj = 0.5 * (np.eye(two_n) + 1j * j.j)
     q, _, _ = scipy.linalg.qr(proj, pivoting=True)
     basis = q[:, :n]
@@ -289,28 +274,6 @@ def structure_from_frame(frame: IsotropicFrame, rtol: float = 1e-10) -> ComplexS
     Raises IllConditioned when the natural projection V^{0,1} -> V is
     near-singular, i.e. [conj(B) | B] is close to rank-deficient.
     """
-    if frame.backend == "rational" and frame.basis_exact is not None:
-        b = frame.basis_exact
-        two_n, n = b.shape
-        conj = np.vectorize(lambda v: v.conjugate(), otypes=[object])(b)
-        c = np.concatenate([conj, b], axis=1)
-        d = np.empty((two_n, two_n), dtype=object)
-        for r in range(two_n):
-            for cc in range(two_n):
-                scal = exact.I_Q if cc < n else -exact.I_Q
-                d[r, cc] = scal * c[r, cc]
-        try:
-            jm = exact.solve_exact(c.T, d.T).T  # J = D C^{-1} via C^T J^T = D^T
-        except ZeroDivisionError as e:
-            raise IllConditioned("frame spans meet their conjugates (exact)") from e
-        jx = np.empty((two_n, two_n), dtype=object)
-        for idx in np.ndindex(jm.shape):
-            v = exact.QI.coerce(jm[idx])
-            if v.im != 0:
-                raise IllConditioned("exact structure came out non-real")
-            jx[idx] = v.re
-        return ComplexStructure(j=exact.to_complex(jx).real, backend="rational",
-                                j_exact=jx)
     c = frame.combined()
     sv = np.linalg.svd(c, compute_uv=False)
     if sv[-1] <= rtol * sv[0]:

@@ -156,7 +156,7 @@ def test_criterion_06_pair_factorization():
     for seed in range(100):
         h = tk.Metric(random_spd(6, np.random.default_rng([6100, seed]), cond=100.0))
         try:
-            gm = tk.pair_factorize(idm, h, tk.FactorizeOptions(seed=seed))
+            gm = tk.pair_factorize(idm, h, seed=seed)
             if pair_defect(gm, h) < 1e-10:
                 successes += 1
         except tk.FactorizationFailed:

@@ -264,6 +264,29 @@ def test_section_cli_and_not_transversal(tmp_path, capsys):
     assert code == 10
 
 
+def test_section_rational_structure_uses_float_frame(tmp_path, capsys):
+    # frames are float only: a rational structure document gives the bytes
+    # of the document of its float J
+    from conftest import t0_exact
+    j0 = t0_exact().induced_structure()
+    exact_doc = serialize.encode_structure(j0)
+    assert exact_doc["backend"] == "rational"
+    float_doc = serialize.encode_structure(tk.ComplexStructure(j0.j))
+    pj = write(tmp_path, "j.json",
+               serialize.encode_structure(tk.ComplexStructure(-j0.j)))
+    pg = write(tmp_path, "g.json", serialize.encode_metric(tk.identity_metric(6)))
+    wi = write(tmp_path, "wi.json", [[1.0, 0], [0, 1], [0, 0]])
+    wj = write(tmp_path, "wj.json", [[0.5, 0], [0, 0], [1, 0]])
+    outs = []
+    for doc in (exact_doc, float_doc):
+        pi = write(tmp_path, "i.json", doc)
+        code, out = run(["section", "--i", pi, "--j", pj, "--metric", pg,
+                         "--wi", wi, "--wj", wj], capsys)
+        assert code == 0 and json.loads(out)["residual"] < 1e-12
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def _section_files(tmp_path):
     from toruskit.twistor import random_transversal_pair
     g = tk.identity_metric(6)

@@ -30,7 +30,7 @@ def test_rref_and_nullspace():
 
 def test_solve_and_inverse():
     m = exact.frac_matrix([[2, 1], [1, 1]])
-    inv = exact.inv_exact(m)
+    inv = exact.solve_exact(m, exact.eye_exact(2))
     ident = exact.mm(m, inv)
     assert ident[0, 0] == 1 and ident[0, 1] == 0
     b = np.array([Fraction(1), Fraction(3)], dtype=object)
@@ -41,7 +41,7 @@ def test_solve_and_inverse():
 def test_solve_singular_raises():
     m = exact.frac_matrix([[1, 2], [2, 4]])
     with pytest.raises(ZeroDivisionError):
-        exact.inv_exact(m)
+        exact.solve_exact(m, exact.eye_exact(2))
 
 
 def test_qi_matrix_rank():

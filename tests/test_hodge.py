@@ -260,6 +260,32 @@ def test_is_generic_rational_always_non_generic():
         assert report.re_verify(t)
 
 
+def test_norm_of_huge_coefficients(j0):
+    # the plain sum of squares overflows above about 1e154
+    w = MultiVector.basis_element(6, 0, 3) * 1e300
+    assert w.norm() == 1e300
+    assert tk.hodge_type(w, j0) == (1, 1)
+    mixed = w + MultiVector.basis_element(6, 0, 1) * 1e300
+    assert np.isclose(mixed.norm(), np.sqrt(2) * 1e300, rtol=1e-15)
+    assert tk.hodge_type(mixed, j0) is None
+    small = MultiVector(6, 2, np.random.default_rng(0).standard_normal(15) + 0j)
+    assert small.norm() == float(np.linalg.norm(small.coeffs))
+
+
+def test_is_generic_rational_witness_is_e1_plane():
+    # for a rational J, span_Q{e1, Je1} is J-invariant and 2-dimensional, so
+    # the exact witness is its saturated plane, found at the first basis vector
+    e1 = np.eye(6, dtype=int)[0]
+    for seed in range(20):
+        t = tk.random_torus(3, seed, backend="rational")
+        report = tk.is_generic(t)
+        assert report.mode == "exact" and report.pp_class is None
+        basis, ell = report.subtorus
+        assert ell == 1
+        assert exact.rank_exact(exact.frac_matrix(np.vstack([basis, e1]))) == 2
+        assert report.re_verify(t)
+
+
 def test_is_generic_random_float_clean():
     for seed in range(10):
         t = tk.random_torus(3, 100 + seed)

@@ -146,7 +146,7 @@ def test_pair_factorize_random_spd(idm6):
     for seed in range(20):
         h = tk.Metric(random_spd(6, np.random.default_rng(800 + seed), cond=50.0))
         try:
-            g1 = tk.pair_factorize(idm6, h, tk.FactorizeOptions(seed=seed))
+            g1 = tk.pair_factorize(idm6, h, seed=seed)
         except tk.FactorizationFailed:
             continue
         assert tk.paired_eigenvalues(idm6, g1, 1e-7) is not None
@@ -163,15 +163,14 @@ def test_pair_factorize_scale_invariance(idm6):
     # may land elsewhere on the solution manifold
     h = tk.Metric(random_spd(6, np.random.default_rng(801), cond=50.0))
     for c in (7.5, 1e-3):
-        g1 = tk.pair_factorize(idm6, tk.Metric(c * h.g), tk.FactorizeOptions(seed=1))
+        g1 = tk.pair_factorize(idm6, tk.Metric(c * h.g), seed=1)
         assert tk.paired_eigenvalues(idm6, g1, 1e-7) is not None
         assert tk.paired_eigenvalues(g1, tk.Metric(c * h.g), 1e-7) is not None
     # and an infeasible target stays infeasible under scaling
     h_bad = tk.Metric(random_spd(6, np.random.default_rng(805), cond=50.0))
     for c in (1.0, 3.0):
         with pytest.raises(tk.FactorizationFailed):
-            tk.pair_factorize(idm6, tk.Metric(c * h_bad.g),
-                              tk.FactorizeOptions(seed=5))
+            tk.pair_factorize(idm6, tk.Metric(c * h_bad.g), seed=5)
 
 
 def test_pair_factorize_failure_reports_best(idm6):
@@ -179,14 +178,77 @@ def test_pair_factorize_failure_reports_best(idm6):
     # relative defect in every basin
     h = tk.Metric(random_spd(6, np.random.default_rng([6100, 25]), cond=100.0))
     with pytest.raises(tk.FactorizationFailed) as err:
-        tk.pair_factorize(idm6, h, tk.FactorizeOptions(seed=0))
+        tk.pair_factorize(idm6, h, seed=0)
     assert err.value.best is not None
     assert err.value.defect > 1e-10
 
 
+# The (g, h) of the second 3-hop route of connect(i, j) for
+# i = random_structure(identity_metric(6), 68) and
+# j = random_structure(Metric(diag(exp(default_rng(34).normal(size=6)))), 69):
+# the best candidate of every start, conjugated back to the input frame,
+# rounds to a matrix with min eig -2.974e+01.
+S34_G = np.array([
+    [1.118395635068167, 0.10904621512887427, 0.06493461832269669,
+     -0.021675269535452138, -0.02750154693006355, -0.13944911527278564],
+    [0.10904621512887427, 1.0715779117789785, 0.04344301720495544,
+     0.16113051038840942, -0.0636744279671951, -0.06536585827631367],
+    [0.06493461832269669, 0.04344301720495544, 1.0401939352077307,
+     0.12910435364208941, -0.038746090355122824, -0.019258770832371517],
+    [-0.021675269535452138, 0.16113051038840942, 0.12910435364208941,
+     1.1246962770315174, -0.09518781316898173, 0.10935440749116944],
+    [-0.02750154693006355, -0.0636744279671951, -0.038746090355122824,
+     -0.09518781316898173, 0.8979844776487151, -0.07314775024479231],
+    [-0.13944911527278564, -0.06536585827631367, -0.019258770832371517,
+     0.10935440749116944, -0.07314775024479231, 1.2144096359568586],
+])
+S34_H = np.array([
+    [1.2102027046422201, 0.06465479653793793, -1.6677988178641656,
+     0.2645533088767368, 0.0980411305243501, 0.06700755088237095],
+    [0.06465479653793793, 0.7136838408347973, -0.09753346321845785,
+     -0.15074497236991485, 0.010594550243729087, -0.08212567769651394],
+    [-1.6677988178641656, -0.09753346321845785, 28.79653570352906,
+     -1.9869480915334428, -0.26723949796178403, -0.6277409693259357],
+    [0.2645533088767368, -0.15074497236991485, -1.9869480915334428,
+     1.3975844176759809, -0.010982067580537186, 0.1983419393807121],
+    [0.0980411305243501, 0.010594550243729087, -0.26723949796178403,
+     -0.010982067580537186, 1.3713364063297733, -0.14283730063541078],
+    [0.06700755088237095, -0.08212567769651394, -0.6277409693259357,
+     0.1983419393807121, -0.14283730063541078, 0.8658895851825128],
+])
+
+
+def test_pair_factorize_indefinite_candidate_fails_cleanly():
+    with pytest.raises(tk.FactorizationFailed) as err:
+        tk.pair_factorize(tk.Metric(S34_G), tk.Metric(S34_H), seed=2702703890)
+    assert "not positive definite" in str(err.value)
+    assert err.value.best is None and err.value.defect is None
+
+
+def test_connect_first_factorization_seed(monkeypatch):
+    # perfbench screens chain pairs with pair_factorize(g, h) at its default
+    # seed, so connect's first factorization must take seed 0 whatever its
+    # own seed is, unless factorize_seed says otherwise
+    from toruskit import moduli
+    seeds = []
+    original = moduli.pair_factorize
+
+    def record(g, h, seed=0):
+        seeds.append(seed)
+        return original(g, h, seed)
+
+    monkeypatch.setattr(moduli, "pair_factorize", record)
+    i, j = general_position_pair(7)
+    for opts, first in ((tk.ConnectOptions(seed=7), 0),
+                        (tk.ConnectOptions(seed=7, factorize_seed=11), 11)):
+        seeds.clear()
+        tk.connect(i, j, opts)
+        assert seeds[0] == first
+
+
 def test_factorize_implies_three_hop_chain(idm6):
     h = tk.Metric(random_spd(6, np.random.default_rng(802), cond=30.0))
-    g1 = tk.pair_factorize(idm6, h, tk.FactorizeOptions(seed=2))
+    g1 = tk.pair_factorize(idm6, h, seed=2)
     i1 = tk.common_structure_from_metrics(idm6, g1, tol=1e-7)
     i2 = tk.common_structure_from_metrics(g1, h, tol=1e-7)
     i0 = tk.common_structure_from_metrics(idm6, idm6)
@@ -395,11 +457,11 @@ def test_failed_factorization_golden_bytes(idm6, name):
     import hashlib
     if name == "criterion6_seed7":
         h = tk.Metric(random_spd(6, np.random.default_rng([6100, 7]), cond=100.0))
-        opts = tk.FactorizeOptions(seed=7)
+        seed = 7
     else:
         h = _weyl_infeasible_target(np.random.default_rng(2024))
-        opts = tk.FactorizeOptions(seed=0)
+        seed = 0
     with pytest.raises(tk.FactorizationFailed) as err:
-        tk.pair_factorize(idm6, h, opts)
+        tk.pair_factorize(idm6, h, seed=seed)
     payload = err.value.best.g.tobytes() + repr(err.value.defect).encode()
     assert hashlib.sha256(payload).hexdigest() == FAILED_FACTORIZATION_GOLDEN[name]
