@@ -133,12 +133,12 @@ def _cmd_section(args) -> int:
     metric_doc = _read_json(args.metric)
     pi = _point_from_docs(_read_json(args.i), metric_doc)
     pj = _point_from_docs(_read_json(args.j), metric_doc)
-    wi = serialize.parse_complex_vector(_read_json(args.wi), "wi")
-    wj = serialize.parse_complex_vector(_read_json(args.wj), "wj")
+    wi = serialize.parse_complex(_read_json(args.wi), "wi", 1)
+    wj = serialize.parse_complex(_read_json(args.wj), "wj", 1)
     v = twistor.section_solve(pi, pj, wi, wj)
     ri = twistor.kappa(v, pi).w - wi
     rj = twistor.kappa(v, pj).w - wj
-    doc = {"type": "section", "v": serialize.complex_vector(v.v),
+    doc = {"type": "section", "v": serialize.complex_array(v.v),
            "residual": float(max(np.linalg.norm(ri), np.linalg.norm(rj)))}
     _emit(doc, args.out)
     return EXIT_OK
@@ -149,9 +149,9 @@ def _cmd_transport(args) -> int:
     pi = _point_from_docs(_read_json(args.i), metric_doc)
     pl = _point_from_docs(_read_json(args.l), metric_doc)
     plp = _point_from_docs(_read_json(args.lp), metric_doc)
-    t = serialize.parse_complex_vector(_read_json(args.t), "t")
+    t = serialize.parse_complex(_read_json(args.t), "t", 1)
     out = twistor.psi_transport(pi, pl, plp, t)
-    _emit({"type": "transport", "w": serialize.complex_vector(out.w)}, args.out)
+    _emit({"type": "transport", "w": serialize.complex_array(out.w)}, args.out)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ needs to decide integral (p,p) kernels and rational invariant planes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -210,13 +210,9 @@ def split_re_im(m: np.ndarray):
 def clear_denominators(vec) -> np.ndarray:
     """Scale a Fraction vector to a primitive integer vector (gcd 1)."""
     fr = [Fraction(x) for x in vec]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    den = lcm(*(x.denominator for x in fr))
+    ints = [x.numerator * (den // x.denominator) for x in fr]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return np.array(ints, dtype=object)

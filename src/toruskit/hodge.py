@@ -2,15 +2,20 @@
 
 The Hodge decomposition of Lambda^k is realized through the derivation
 extension of J: the (p,q) component is the i(p-q)-eigenspace, and the
-projectors are Lagrange polynomials in the derivation matrix. That route
-works unchanged over floats and over Gaussian rationals, which is what lets
-the exact backend decide integral (p,p) kernels.
+projectors are Lagrange polynomials in the derivation matrix. One loop builds
+them over floats or over Gaussian rationals; the rational ones decide the
+integral (p,p) kernels of a rational torus exactly.
+
+Every route is read from the data: a torus with Gaussian-rational periods
+(and a structure with its rational J) takes the exact route, any other the
+float one. Genericity asks for a proper subtorus or an integral (p,p) class
+with 0 < p < n. A rational J always has the subtorus span_Q{e1, Je1}; a
+float torus gets a bounded LLL search, whose clean sweep is no proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -165,23 +170,19 @@ def vector_wedge(dim: int, *vectors, backend: str = "f64") -> MultiVector:
 def derivation_matrix(jm: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of the derivation extension of J on Lambda^degree.
 
-    Works for float and object (exact) matrices alike.
+    Works for float and object (exact) matrices alike; the entries an object
+    J never reaches stay the integer 0.
     """
     dim = jm.shape[0]
     subs = basis_subsets(dim, degree)
     idx = subset_index(dim, degree)
-    is_object = jm.dtype == object
-    if is_object:
-        zero = jm[0, 0] * 0
-        d = np.full((len(subs), len(subs)), zero, dtype=object)
-    else:
-        d = np.zeros((len(subs), len(subs)), dtype=jm.dtype)
+    d = np.zeros((len(subs), len(subs)), dtype=jm.dtype)
     for col, s in enumerate(subs):
         sset = set(s)
         for p, sp in enumerate(s):
             for m in range(dim):
                 c = jm[m, sp]
-                if (is_object and c == 0) or (not is_object and c == 0.0):
+                if c == 0:
                     continue
                 if m == sp:
                     d[col, col] = d[col, col] + c  # diagonal slot, sign +1
@@ -202,54 +203,43 @@ def pq_labels(n: int, degree: int) -> list[tuple[int, int]]:
 
 
 def pq_projectors(j: ComplexStructure, degree: int, exact_mode: bool = False) -> dict:
-    """Spectral projectors of the derivation: Lagrange polynomials in D_J."""
-    n = j.dim // 2
-    labels = pq_labels(n, degree)
+    """Spectral projectors of the derivation: Lagrange polynomials in D_J.
+
+    Exact mode works over Gaussian rationals from the rational J and needs
+    one; float mode works over complex floats. Both run the same loop.
+    """
+    labels = pq_labels(j.dim // 2, degree)
     if exact_mode:
         if j.j_exact is None:
             raise BackendRequired("exact projectors need a rational structure")
-        d = derivation_matrix(j.j_exact, degree)
-        dq = np.empty(d.shape, dtype=object)
-        for idx in np.ndindex(d.shape):
-            dq[idx] = exact.QI(d[idx])
-        size = d.shape[0]
-        out = {}
-        for (p, q) in labels:
-            acc = exact.eye_exact(size, exact.QI)
-            lam = exact.I_Q * (p - q)
-            for (pp, qq) in labels:
-                if (pp, qq) == (p, q):
-                    continue
-                mu = exact.I_Q * (pp - qq)
-                shifted = dq.copy()
-                for i in range(size):
-                    shifted[i, i] = shifted[i, i] - mu
-                acc = exact.mm(acc, shifted)
-                denom = lam - mu
-                acc = np.vectorize(lambda v: v / denom, otypes=[object])(acc)
-            out[(p, q)] = acc
-        return out
-    d = derivation_matrix(j.j.astype(complex), degree)
-    size = d.shape[0]
+        d = exact.qi_matrix(derivation_matrix(j.j_exact, degree))
+        eye, unit, mul = exact.eye_exact(d.shape[0], exact.QI), exact.I_Q, exact.mm
+    else:
+        d = derivation_matrix(j.j.astype(complex), degree)
+        eye, unit, mul = np.eye(d.shape[0], dtype=complex), 1j, np.matmul
+    diag = np.diag_indices(d.shape[0])
     out = {}
     for (p, q) in labels:
-        acc = np.eye(size, dtype=complex)
-        lam = 1j * (p - q)
+        acc = eye
+        lam = unit * (p - q)
         for (pp, qq) in labels:
             if (pp, qq) == (p, q):
                 continue
-            mu = 1j * (pp - qq)
-            acc = acc @ (d - mu * np.eye(size)) / (lam - mu)
+            mu = unit * (pp - qq)
+            shifted = d.copy()
+            shifted[diag] -= mu
+            acc = mul(acc, shifted) / (lam - mu)
         out[(p, q)] = acc
     return out
 
 
-def pq_decompose(w: MultiVector, j: ComplexStructure,
-                 exact_mode: bool | None = None) -> dict:
-    """Split w into its Hodge (p,q) components. Components sum back to w."""
-    if exact_mode is None:
-        exact_mode = w.backend != "f64" and j.j_exact is not None
-    projs = pq_projectors(j, w.degree, exact_mode=exact_mode)
+def pq_decompose(w: MultiVector, j: ComplexStructure) -> dict:
+    """Split w into its Hodge (p,q) components. Components sum back to w.
+
+    Exact when w has exact coefficients and j carries its rational J.
+    """
+    exact_mode = w.backend != "f64" and j.j_exact is not None
+    projs = pq_projectors(j, w.degree, exact_mode)
     out = {}
     if exact_mode:
         coeffs = np.array([exact.QI.coerce(c) for c in w.coeffs], dtype=object)
@@ -324,16 +314,10 @@ def integral_pp_kernel(torus: MarkedTorus, p: int) -> list[MultiVector]:
     if not 1 <= p <= torus.n:
         raise ValueError(f"p must lie in 1..n, got {p}")
     j = torus.induced_structure()
-    projs = pq_projectors(j, 2 * p, exact_mode=True)
-    size = len(basis_subsets(2 * torus.n, 2 * p))
-    non_pp = exact.eye_exact(size, exact.QI)
-    pi = projs[(p, p)]
-    for i in range(size):
-        for k in range(size):
-            non_pp[i, k] = non_pp[i, k] - pi[i, k]
+    pi = pq_projectors(j, 2 * p, exact_mode=True)[(p, p)]
+    non_pp = exact.eye_exact(pi.shape[0], exact.QI) - pi
     re, im = exact.split_re_im(non_pp)
-    stacked = np.concatenate([re, im], axis=0)
-    kernel = exact.nullspace(stacked)
+    kernel = exact.nullspace(np.concatenate([re, im], axis=0))
     out = []
     for vec in kernel:
         ints = exact.clear_denominators(vec)
@@ -350,17 +334,13 @@ def pp_class_heuristic(torus: MarkedTorus, p: int, bound: int = 10):
     by a large constant; hits are re-verified against the float projector.
     Absence is not a proof.
     """
-    if bound < 1:
-        return None
-    j = torus.induced_structure()
-    projs = pq_projectors(j, 2 * p)
-    size = len(basis_subsets(2 * torus.n, 2 * p))
-    non_pp = np.eye(size) - projs[(p, p)]
+    pi = pq_projectors(torus.induced_structure(), 2 * p)[(p, p)]
+    non_pp = np.eye(pi.shape[0]) - pi
     a = np.vstack([non_pp.real, non_pp.imag])
     x = lattice.small_relation(a, bound, PP_RESIDUAL_TOL)
     if x is None:
         return None
-    xf = np.array([int(v) for v in x], dtype=float)
+    xf = x.astype(float)
     if np.linalg.norm(non_pp @ xf) >= PP_RESIDUAL_TOL * np.linalg.norm(xf):
         return None
     return MultiVector(2 * torus.n, 2 * p, xf.astype(complex))
@@ -389,57 +369,32 @@ def verify_sublattice(torus: MarkedTorus, basis, tol: float = PP_RESIDUAL_TOL):
     return (rows, ell) if rank == ell else None
 
 
-def _plane_sublattice_exact(torus: MarkedTorus, v: np.ndarray):
-    """span_Q{v, Jv} intersected with Z^{2n}, as a saturated integer basis."""
-    j = torus.induced_structure()
-    jv = j.j_exact.dot(np.array([Fraction(int(x)) for x in v], dtype=object))
-    plane = np.empty((2, len(v)), dtype=object)
-    plane[0, :] = [Fraction(int(x)) for x in v]
-    plane[1, :] = jv
-    ann = exact.nullspace(plane)   # functionals vanishing on the plane
-    if not ann:
-        return None
-    n_mat = np.vstack([exact.clear_denominators(a) for a in ann])
-    kernel = exact.integer_kernel(n_mat)
-    if len(kernel) != 2:
-        return None
-    return np.vstack(kernel)
+def _saturated_plane(rows) -> np.ndarray:
+    """Integer basis of span_Q(rows) intersected with Z^d, for two independent
+    rational rows with d > 2. The basis is saturated: it generates the whole
+    intersection, not a finite-index sublattice of it."""
+    ann = exact.nullspace(exact.frac_matrix(rows))  # functionals vanishing on rows
+    return np.vstack(exact.integer_kernel(
+        [exact.clear_denominators(a) for a in ann]))
 
 
-def subtorus_search(torus: MarkedTorus, mode: str = "auto", bound: int = 10,
-                    candidate=None):
+def subtorus_search(torus: MarkedTorus, bound: int = 10):
     """Find (sublattice basis, l) witnessing a proper subtorus, or None.
 
-    exact     -- rational J: span{v, Jv} meets Z^{2n} in a rank-2 invariant
-                 sublattice for every lattice vector v; returns the first.
-    heuristic -- float J: for each basis vector, LLL-search for a second short
-                 integer vector in the real plane span{v, Jv} within 1e-7.
-    verify    -- check a user-supplied candidate of any rank.
+    Rational torus: span_Q{e1, Je1} is J-invariant and 2-dimensional for a
+    rational J, so its saturated lattice plane is returned, verified (l = 1).
+    Float torus: for each basis vector v, LLL-search for two independent
+    integer vectors with |coefficients| <= bound in the real plane
+    span{v, Jv}, within PP_RESIDUAL_TOL; the first saturated plane that
+    verifies is returned. None from the float search is not a proof.
     """
-    if mode == "verify":
-        if candidate is None:
-            raise ValueError("verify mode needs a candidate basis")
-        return verify_sublattice(torus, candidate)
-    if mode == "auto":
-        mode = "exact" if torus.backend == "rational" else "heuristic"
+    if torus.n < 2:
+        return None  # a curve has no proper subtorus
     two_n = 2 * torus.n
-    if mode == "exact":
-        if torus.backend != "rational":
-            raise BackendRequired("exact subtorus search needs rational periods")
-        for k in range(two_n):
-            v = np.zeros(two_n, dtype=int)
-            v[k] = 1
-            basis = _plane_sublattice_exact(torus, v)
-            if basis is None:
-                continue
-            got = verify_sublattice(torus, basis)
-            if got is not None and got[1] == 1:
-                return got
-        return None
-    if mode != "heuristic":
-        raise ValueError(f"unknown mode {mode!r}")
     if torus.backend == "rational":
-        raise BackendRequired("heuristic subtorus search expects a float torus")
+        jm = torus.induced_structure().j_exact
+        e1 = exact.frac_matrix(np.eye(two_n, dtype=int)[0])
+        return verify_sublattice(torus, _saturated_plane(np.vstack([e1, jm[:, 0]])))
     j = torus.induced_structure().j
     for k in range(two_n):
         v = np.zeros(two_n)
@@ -448,53 +403,40 @@ def subtorus_search(torus: MarkedTorus, mode: str = "auto", bound: int = 10,
         q, _ = np.linalg.qr(plane)
         resid_op = np.eye(two_n) - q @ q.T
         found = []
-        for x in lattice.relation_candidates(resid_op):
-            xf = np.array([int(t) for t in x], dtype=float)
-            if np.max(np.abs(xf)) > bound:
-                continue
-            if np.linalg.norm(resid_op @ xf) >= PP_RESIDUAL_TOL * np.linalg.norm(xf):
-                continue
-            if all(np.linalg.matrix_rank(np.vstack([f, xf])) == 2 for f in found):
-                found.append(xf)
+        for x in lattice.small_relations(resid_op, bound, PP_RESIDUAL_TOL):
+            if all(np.linalg.matrix_rank(np.vstack([f, x]).astype(float)) == 2
+                   for f in found):
+                found.append(x)
             if len(found) == 2:
+                got = verify_sublattice(torus, _saturated_plane(np.vstack(found)))
+                if got is not None:
+                    return got
                 break
-        if len(found) < 2:
-            continue
-        ints = np.vstack([[int(round(t)) for t in f] for f in found]).astype(object)
-        ann = exact.nullspace(exact.frac_matrix(ints))
-        if not ann:
-            continue
-        n_mat = np.vstack([exact.clear_denominators(a) for a in ann])
-        kernel = exact.integer_kernel(n_mat)
-        if len(kernel) != 2:
-            continue
-        got = verify_sublattice(torus, np.vstack(kernel))
-        if got is not None and got[1] == 1:
-            return got
     return None
 
 
 def is_generic(torus: MarkedTorus, bound: int = 10) -> GenericityReport:
-    """Genericity certification.
+    """Genericity certification: a proper subtorus or an integral (p,p) class
+    with 0 < p < n makes a torus non-generic.
 
-    Exact tori are provably never generic: for a rational J, span_Q{e1, Je1}
-    is J-invariant and 2-dimensional, so exact subtorus_search returns its
-    saturated sublattice as a witness at the first basis vector. Float mode
-    is a bounded heuristic: a clean sweep is reported as
-    NoObstructionFound(bound), never as a proof.
+    Rational tori are provably never generic: subtorus_search returns the
+    saturated plane of span_Q{e1, Je1} as the witness. A float torus gets the
+    bounded subtorus search and then pp_class_heuristic for each p in
+    1..n-1; a clean sweep is reported as no_obstruction_found at that bound,
+    never as a proof.
     """
     if torus.n < 3:
         raise DimensionTooSmall(f"genericity needs n >= 3, got n = {torus.n}")
     if torus.backend == "rational":
-        sub = subtorus_search(torus, mode="exact")
+        sub = subtorus_search(torus)
         assert sub is not None, "span{e1, Je1} is invariant for a rational J"
         return GenericityReport(verdict="non_generic", mode="exact", subtorus=sub)
     mode = "heuristic"
-    sub = subtorus_search(torus, mode=mode, bound=bound)
+    sub = subtorus_search(torus, bound=bound)
     if sub is not None:
         return GenericityReport(verdict="non_generic", mode=mode, bound=bound,
                                 subtorus=sub)
-    for p in (1, 2):
+    for p in range(1, torus.n):
         w = pp_class_heuristic(torus, p, bound=bound)
         if w is not None:
             return GenericityReport(verdict="non_generic", mode=mode,

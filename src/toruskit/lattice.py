@@ -1,25 +1,29 @@
 """LLL reduction and integer-relation search.
 
 The basis rows are kept as exact Python ints; Gram-Schmidt data is float.
-Sizes here are tiny (<= ~20 rows), so the simple textbook loop with full
-orthogonalization is plenty fast.
+Sizes here are small (at most a few dozen rows): the Gram-Schmidt data is
+updated in place, O(n) per swap, and recomputed from the rows every 512 swaps
+against float drift.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
+from . import exact
+
+LLL_DELTA = 0.99
 RELATION_SCALE = 1e10
 
 
-def lll_reduce(basis: list[list[int]], delta: float = 0.99) -> list[list[int]]:
-    """LLL-reduce integer row vectors. Returns a new list of rows.
+def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
+    """LLL-reduce integer row vectors (Lovasz constant LLL_DELTA). Returns a
+    new list of rows.
 
-    The rows stay exact Python ints; Gram-Schmidt data is float and updated
-    incrementally under size reductions (a swap triggers a full recompute,
-    which is cheap at these sizes).
+    The rows stay exact Python ints. The float Gram-Schmidt data is updated
+    incrementally: under size reductions, and by the classical O(n) update
+    on a swap. It is recomputed in full every 512 swaps, and whenever the
+    update would leave a non-positive norm.
     """
     b = [list(map(int, row)) for row in basis]
     n = len(b)
@@ -49,7 +53,7 @@ def lll_reduce(basis: list[list[int]], delta: float = 0.99) -> list[list[int]]:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 mu[k, :j] -= q * mu[j, :j]
                 mu[k, j] -= q
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
@@ -79,22 +83,14 @@ def lll_reduce(basis: list[list[int]], delta: float = 0.99) -> list[list[int]]:
 
 
 def primitive(vec) -> np.ndarray:
-    v = [int(x) for x in vec]
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g > 1:
-        v = [x // g for x in v]
-    for x in v:
-        if x != 0:
-            if x < 0:
-                v = [-y for y in v]
-            break
-    return np.array(v, dtype=object)
+    """The primitive integer vector on the ray of vec, first nonzero entry > 0."""
+    v = exact.clear_denominators(vec)
+    lead = next((x for x in v if x != 0), 0)
+    return -v if lead < 0 else v
 
 
-def relation_candidates(a: np.ndarray, scale: float = RELATION_SCALE) -> list[np.ndarray]:
-    """Integer vectors x with a @ x near zero, by LLL on [I | scale*a^T].
+def relation_candidates(a: np.ndarray) -> list[np.ndarray]:
+    """Integer vectors x with a @ x near zero, by LLL on [I | RELATION_SCALE*a^T].
 
     `a` is a real m x d matrix of constraints. Candidates come back ordered by
     the reduced basis; callers re-verify residuals and coefficient bounds.
@@ -103,7 +99,7 @@ def relation_candidates(a: np.ndarray, scale: float = RELATION_SCALE) -> list[np
     m, d = a.shape
     rows = []
     for j in range(d):
-        tail = [int(round(scale * a[i, j])) for i in range(m)]
+        tail = [int(round(RELATION_SCALE * a[i, j])) for i in range(m)]
         rows.append([1 if t == j else 0 for t in range(d)] + tail)
     reduced = lll_reduce(rows)
     out = []
@@ -114,16 +110,19 @@ def relation_candidates(a: np.ndarray, scale: float = RELATION_SCALE) -> list[np
     return out
 
 
-def small_relation(a: np.ndarray, bound: int, residual_tol: float,
-                   scale: float = RELATION_SCALE):
-    """First LLL candidate x with |x|_inf <= bound and ||a x|| < residual_tol * |x|."""
+def small_relations(a: np.ndarray, bound: int, residual_tol: float):
+    """The LLL candidates x with |x|_inf <= bound and ||a x|| < residual_tol * |x|,
+    in the order of relation_candidates. Yields nothing when bound < 1."""
     if bound < 1:
-        return None
+        return
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    for x in relation_candidates(a, scale):
-        xf = np.array([int(v) for v in x], dtype=float)
-        if np.max(np.abs(xf)) > bound:
-            continue
-        if np.linalg.norm(a @ xf) < residual_tol * np.linalg.norm(xf):
-            return x
-    return None
+    for x in relation_candidates(a):
+        xf = x.astype(float)
+        if (np.max(np.abs(xf)) <= bound
+                and np.linalg.norm(a @ xf) < residual_tol * np.linalg.norm(xf)):
+            yield x
+
+
+def small_relation(a: np.ndarray, bound: int, residual_tol: float):
+    """The first of small_relations(a, bound, residual_tol), or None."""
+    return next(small_relations(a, bound, residual_tol), None)

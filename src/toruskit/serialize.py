@@ -34,9 +34,10 @@ def real_matrix(m) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def complex_matrix(m) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+def complex_array(a) -> list:
+    """Nested lists of [re, im] pairs, one pair per entry of a complex array."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def rational_matrix(m) -> list:
@@ -51,8 +52,16 @@ def parse_real_matrix(doc) -> np.ndarray:
     return np.asarray(doc, dtype=float)
 
 
-def parse_complex_matrix(doc) -> np.ndarray:
-    a = np.asarray(doc, dtype=float)
+def parse_complex(doc, name: str, ndim: int) -> np.ndarray:
+    """A complex array of ndim dimensions from nested lists of finite
+    [re, im] pairs; errors name it as `name`."""
+    try:
+        a = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if (a is None or a.ndim != ndim + 1 or a.shape[-1] != 2
+            or not np.all(np.isfinite(a))):
+        raise ValueError(f"{name} is not a {ndim}-d array of finite [re, im] pairs")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -68,14 +77,14 @@ def encode_torus(t: MarkedTorus) -> dict:
     if t.backend == "rational":
         doc["periods"] = rational_matrix(t.periods_exact)
     else:
-        doc["periods"] = complex_matrix(t.periods)
+        doc["periods"] = complex_array(t.periods)
     return doc
 
 
 def decode_torus(doc: dict) -> MarkedTorus:
     if doc.get("backend") == "rational":
         return make_torus(parse_rational_matrix(doc["periods"]))
-    return make_torus(parse_complex_matrix(doc["periods"]))
+    return make_torus(parse_complex(doc["periods"], "torus key 'periods'", 2))
 
 
 def encode_metric(m: Metric) -> dict:
@@ -114,7 +123,7 @@ def decode_metric(doc: dict) -> Metric:
 
 def encode_structure(j: ComplexStructure) -> dict:
     doc = {"type": "structure", "backend": j.backend, "j": real_matrix(j.j)}
-    if j.backend == "rational" and j.j_exact is not None:
+    if j.j_exact is not None:
         doc["j_exact"] = [[str(Fraction(x)) for x in row] for row in j.j_exact]
     return doc
 
@@ -124,23 +133,8 @@ def decode_structure(doc: dict) -> ComplexStructure:
         jx = np.array([[Fraction(x) for x in row] for row in doc["j_exact"]],
                       dtype=object)
         jf = np.array([[float(x) for x in row] for row in jx], dtype=float)
-        return ComplexStructure(j=jf, backend="rational", j_exact=jx)
+        return ComplexStructure(j=jf, j_exact=jx)
     return ComplexStructure(parse_real_matrix(doc["j"]))
-
-
-def complex_vector(v) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, complex)]
-
-
-def parse_complex_vector(doc, name: str) -> np.ndarray:
-    """A finite (k, 2) array of [re, im] pairs as a complex k-vector."""
-    try:
-        a = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.ndim != 2 or a.shape[1] != 2 or not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} is not a list of finite [re, im] pairs")
-    return a[:, 0] + 1j * a[:, 1]
 
 
 def encode_multivector(w: MultiVector) -> dict:
@@ -250,7 +244,7 @@ def encode_ext_class(nu: ExtClass) -> dict:
               for ch, r in nu.bundle.blocks]
     forms = {}
     for (i, j), arr in nu.forms.items():
-        forms[f"{i + 1},{j + 1}"] = [complex_matrix(arr[a]) for a in range(arr.shape[0])]
+        forms[f"{i + 1},{j + 1}"] = complex_array(arr)
     return {"type": "ext_class", "blocks": blocks, "forms": forms}
 
 
@@ -270,7 +264,7 @@ def decode_ext_class(doc: dict) -> ExtClass:
             raise ValueError(f"forms key {key!r} is not a pair of 1-based block "
                              f"indices up to {len(bundle.blocks)}")
         try:
-            forms[(i - 1, j - 1)] = np.stack([parse_complex_matrix(m) for m in mats])
+            forms[(i - 1, j - 1)] = np.stack([parse_complex(m, key, 2) for m in mats])
         except (IndexError, TypeError, ValueError):
             raise ValueError(f"forms[{key!r}] is not a non-empty list of complex "
                              "matrices of one shape") from None
@@ -280,32 +274,52 @@ def decode_ext_class(doc: dict) -> ExtClass:
 def encode_fourier_form(form) -> dict:
     modes = []
     for m, c in sorted(form.modes.items()):
-        modes.append({"m": list(m),
-                      "coeffs": _nested_complex(c)})
+        modes.append({"m": list(m), "coeffs": complex_array(c)})
     return {"type": "fourier_form", "n": form.space.n,
             "mode_bound": form.space.mode_bound, "q": form.q,
             "value_shape": list(form.extra), "modes": modes}
 
 
-def _nested_complex(arr: np.ndarray):
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [_nested_complex(x) for x in arr]
-
-
-def _parse_nested_complex(doc) -> np.ndarray:
-    a = np.asarray(doc, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
-
-
-def decode_fourier_form(doc: dict, space=None):
+def decode_fourier_form(doc: dict):
+    """FourierForm from its document. n and mode_bound are integers >= 1, q
+    an integer in 0..n and value_shape a list of integers >= 1. Each mode m
+    is a list of 2n integers with |m_k| <= mode_bound, no mode occurs twice,
+    and its coeffs are finite [re, im] pairs of shape (C(n, q), *value_shape).
+    An error names the entry as modes[k]."""
     from .fourier import FourierForm, FourierFormSpace
-    if space is None:
-        space = FourierFormSpace(doc["n"], doc["mode_bound"])
-    extra = tuple(doc.get("value_shape", []))
-    modes = {tuple(m["m"]): _parse_nested_complex(m["coeffs"])
-             for m in doc["modes"]}
-    return FourierForm(space, doc["q"], modes, extra=extra)
+    n, bound, q = doc["n"], doc["mode_bound"], doc["q"]
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"fourier_form n must be an integer >= 1, got {n!r}")
+    if not (_is_int(bound) and bound >= 1):
+        raise ValueError("fourier_form mode_bound must be an integer >= 1, "
+                         f"got {bound!r}")
+    if not (_is_int(q) and 0 <= q <= n):
+        raise ValueError(f"fourier_form q must be an integer in 0..{n}, got {q!r}")
+    extra = doc.get("value_shape", [])
+    if not (isinstance(extra, list) and all(_is_int(e) and e >= 1 for e in extra)):
+        raise ValueError("fourier_form value_shape must be a list of integers "
+                         f">= 1, got {extra!r}")
+    if not isinstance(doc["modes"], list):
+        raise ValueError("fourier_form key 'modes' must be a list")
+    space = FourierFormSpace(n, bound)
+    want = (space.ncomp(q), *extra)
+    modes = {}
+    for k, entry in enumerate(doc["modes"]):
+        name = f"fourier_form modes[{k}]"
+        if not (isinstance(entry, dict) and {"m", "coeffs"} <= entry.keys()):
+            raise ValueError(f"{name} must be an object with keys 'm' and 'coeffs'")
+        m = entry["m"]
+        if not (isinstance(m, list) and len(m) == 2 * n
+                and all(_is_int(x) and abs(x) <= bound for x in m)):
+            raise ValueError(f"{name} 'm' must be {2 * n} integers in "
+                             f"-{bound}..{bound}, got {m!r}")
+        if tuple(m) in modes:
+            raise ValueError(f"{name} repeats the mode {m!r}")
+        c = parse_complex(entry["coeffs"], f"{name} 'coeffs'", len(want))
+        if c.shape != want:
+            raise ValueError(f"{name} 'coeffs' has shape {c.shape}, expected {want}")
+        modes[tuple(m)] = c
+    return FourierForm(space, q, modes, extra=tuple(extra))
 
 
 _DECODERS = {

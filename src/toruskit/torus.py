@@ -9,7 +9,9 @@ Conventions used throughout the package:
   V^{0,1} (tag "v01").
 * Two numeric backends for tori and structures: "f64" (numpy, default) and
   "rational" (Gaussian-rational periods with their exact rational J, as
-  object arrays). Frames are float only.
+  object arrays). The backend is read from the data: a torus is rational
+  when it carries exact periods, a structure when it carries its exact J.
+  Frames are float only.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ class MarkedTorus:
 
     n: int
     periods: np.ndarray                  # complex n x 2n (float view in both backends)
-    backend: str = "f64"
     periods_exact: np.ndarray | None = None
     cond: float = field(default=0.0, compare=False)
+
+    @property
+    def backend(self) -> str:
+        return "f64" if self.periods_exact is None else "rational"
 
     def induced_structure(self) -> "ComplexStructure":
         """Multiplication by i on C^n pulled back to R^{2n} through the periods.
@@ -53,13 +58,12 @@ class MarkedTorus:
         Rational for Gaussian-rational periods, which is what makes the exact
         backend a non-genericity oracle.
         """
-        if self.backend == "rational":
+        if self.periods_exact is not None:
             re, im = exact.split_re_im(self.periods_exact)
             a = np.concatenate([re, im], axis=0)
             b = np.concatenate([-im, re], axis=0)
             j = exact.solve_exact(a, b)
-            return ComplexStructure(j=exact.to_complex(j).real,
-                                    backend="rational", j_exact=j)
+            return ComplexStructure(j=exact.to_complex(j).real, j_exact=j)
         a = real_stack(self.periods)
         b = np.vstack([-self.periods.imag, self.periods.real])
         return ComplexStructure(j=np.linalg.solve(a, b))
@@ -83,8 +87,8 @@ def make_torus(periods) -> MarkedTorus:
             raise DegenerateLattice("periods have real rank < 2n (exact)")
         pfloat = exact.to_complex(pex)
         cond = float(np.linalg.cond(real_stack(pfloat)))
-        return MarkedTorus(n=n, periods=_freeze(pfloat), backend="rational",
-                           periods_exact=pex, cond=cond)
+        return MarkedTorus(n=n, periods=_freeze(pfloat), periods_exact=pex,
+                           cond=cond)
 
     p = np.asarray(periods, dtype=complex)
     if p.ndim != 2 or p.shape[1] != 2 * p.shape[0]:
@@ -162,10 +166,10 @@ def identity_metric(two_n: int) -> Metric:
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    """Real operator J with J^2 = -Id (float view always present)."""
+    """Real operator J with J^2 = -Id (float view always present), and the
+    exact rational J for the rational backend."""
 
     j: np.ndarray
-    backend: str = "f64"
     j_exact: np.ndarray | None = None
 
     def __post_init__(self):
@@ -188,6 +192,10 @@ class ComplexStructure:
     def dim(self) -> int:
         return self.j.shape[0]
 
+    @property
+    def backend(self) -> str:
+        return "f64" if self.j_exact is None else "rational"
+
     def compatibility_residual(self, metric: Metric) -> float:
         g = metric.g
         return frob(self.j.T @ g @ self.j - g) / frob(g)
@@ -196,10 +204,8 @@ class ComplexStructure:
         return self.compatibility_residual(metric) <= tol
 
     def __neg__(self) -> "ComplexStructure":
-        jx = None
-        if self.j_exact is not None:
-            jx = np.vectorize(lambda v: -v, otypes=[object])(self.j_exact)
-        return ComplexStructure(j=-self.j, backend=self.backend, j_exact=jx)
+        jx = None if self.j_exact is None else -self.j_exact
+        return ComplexStructure(j=-self.j, j_exact=jx)
 
 
 def standard_structure(n: int) -> ComplexStructure:

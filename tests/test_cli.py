@@ -23,6 +23,14 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+def validate(doc, schema):
+    import jsonschema
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas",
+                        f"{schema}.schema.json")
+    with open(path, encoding="utf-8") as fh:
+        jsonschema.validate(doc, json.load(fh))
+
+
 @pytest.fixture
 def t0_file(tmp_path):
     return write(tmp_path, "t0.json",
@@ -60,6 +68,45 @@ def test_sample_corpus_roundtrips(capsys):
                              "--seed", str(seed)], capsys)
             assert code == 0
             serialize.decode(json.loads(out))
+
+
+@pytest.mark.parametrize("kind,backend,schema", [
+    ("torus", "f64", "torus"), ("torus", "rational", "torus"),
+    ("structure", "f64", "structure"), ("metric", "f64", "metric"),
+    ("ext-class", "f64", "ext_class")])
+def test_sample_torus_matches_schema(capsys, kind, backend, schema):
+    for seed in range(3):
+        code, out = run(["sample-torus", "--kind", kind, "--backend", backend,
+                         "--seed", str(seed)], capsys)
+        assert code == 0
+        validate(json.loads(out), schema)
+
+
+def _golden_torus(kind):
+    if kind == "float":
+        return tk.random_torus(3, 77)
+    rational = tk.random_torus(3, 5, backend="rational")
+    return rational if kind == "rational" else tk.make_torus(rational.periods)
+
+
+# sha256 of `toruskit check-generic --seed 3` stdout on a seeded float torus
+# (no obstruction found), the float copy of a rational torus (the float
+# search finds a subtorus) and the rational torus itself (the exact plane
+# span{e1, Je1}), recorded before the two routes lost their `mode` switch.
+CHECK_GENERIC_GOLDEN = {
+    "float": (20, "a5c28c88d602a39ab12f5c44f1857312f14a8fa83fdeb9f5fec5bdb2e7d73c46"),
+    "planted": (10, "1a8e4bbb8dfa70b46f41c1a7cece60f3df9c7d68fa904c5773f3811c0e3f65f5"),
+    "rational": (10, "b805b8994dce5659c52a789a129084118a7783713c9b5b1bf76136a3e41d6ae9"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_GENERIC_GOLDEN))
+def test_check_generic_golden_bytes(tmp_path, capsys, kind):
+    import hashlib
+    path = write(tmp_path, "t.json", serialize.encode_torus(_golden_torus(kind)))
+    code, out = run(["check-generic", "--in", path, "--seed", "3"], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CHECK_GENERIC_GOLDEN[kind]
+    validate(json.loads(out), "genericity_report")
 
 
 def test_check_generic_t0_negative(t0_file, capsys):
@@ -221,7 +268,6 @@ CONNECT_GOLDEN = {
 @pytest.mark.parametrize("pair,seed", sorted(CONNECT_GOLDEN))
 def test_connect_cli_golden_bytes(tmp_path, capsys, pair, seed):
     import hashlib
-    import jsonschema
     from conftest import general_position_pair
     i, j = general_position_pair(pair)
     pi = write(tmp_path, "i.json", serialize.encode_structure(i))
@@ -229,10 +275,7 @@ def test_connect_cli_golden_bytes(tmp_path, capsys, pair, seed):
     code, out = run(["connect", "--i", pi, "--j", pj, "--seed", str(seed)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CONNECT_GOLDEN[pair, seed]
-    schema_path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
-                               "schemas", "chain.schema.json")
-    with open(schema_path, encoding="utf-8") as fh:
-        jsonschema.validate(json.loads(out), json.load(fh))
+    validate(json.loads(out), "chain")
 
 
 def test_connect_rejects_non_finite_structure(tmp_path, capsys):
@@ -392,6 +435,52 @@ def test_massey_cli(tmp_path, capsys):
     path2 = write(tmp_path, "theta2.json", serialize.encode_fourier_form(theta2))
     code, _ = run(["massey", "--in", path2], capsys)
     assert code == 10  # obstructed
+
+
+def _fourier_doc():
+    from toruskit.fourier import FourierForm, FourierFormSpace
+    c = np.zeros((3, 2, 2), complex)
+    c[0] = [[0, 2.0], [0, 0]]
+    form = FourierForm(FourierFormSpace(3, 3), 1,
+                       {(0,) * 6: c, (1, 0, 0, 0, 0, 0): 0.5 * c}, extra=(2, 2))
+    return serialize.encode_fourier_form(form)
+
+
+def _set_mode(k, m):
+    return lambda doc: doc["modes"][k].update(m=m)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_mode(1, [0.7, 0, 0, 0, 0, 0]), "modes[1] 'm' must be 6 integers in -3..3"),
+    (_set_mode(1, [1, 0, 0]), "modes[1] 'm' must be 6 integers in -3..3"),
+    (_set_mode(1, [4, 0, 0, 0, 0, 0]), "modes[1] 'm' must be 6 integers in -3..3"),
+    (_set_mode(1, [True, 0, 0, 0, 0, 0]), "modes[1] 'm' must be 6 integers"),
+    (_set_mode(1, [0, 0, 0, 0, 0, 0]), "modes[1] repeats the mode [0, 0, 0, 0, 0, 0]"),
+    (lambda doc: doc["modes"][0]["coeffs"][2][1].__setitem__(0, [float("nan"), 0.0]),
+     "modes[0] 'coeffs' is not a 3-d array of finite [re, im] pairs"),
+    (lambda doc: doc["modes"][0].update(coeffs=[[1.0, 0.0]] * 3),
+     "modes[0] 'coeffs' is not a 3-d array"),
+    (lambda doc: doc["modes"][0].update(coeffs=[[[[1.0, 0.0]]]] * 3),
+     "modes[0] 'coeffs' has shape (3, 1, 1), expected (3, 2, 2)"),
+    (lambda doc: doc["modes"][0].pop("coeffs"), "modes[0] must be an object"),
+    (lambda doc: doc.update(n=True), "n must be an integer >= 1, got True"),
+    (lambda doc: doc.update(mode_bound=0), "mode_bound must be an integer >= 1"),
+    (lambda doc: doc.update(q=4), "q must be an integer in 0..3, got 4"),
+    (lambda doc: doc.update(q=1.0), "q must be an integer in 0..3, got 1.0"),
+    (lambda doc: doc.update(value_shape=[2, "2"]), "value_shape must be a list"),
+    (lambda doc: doc.update(modes={}), "'modes' must be a list"),
+], ids=["float-entry", "short", "out-of-cube", "bool-entry", "repeated",
+        "nan-coeff", "coeffs-rank", "coeffs-shape", "no-coeffs", "bool-n",
+        "mode-bound-0", "q-above-n", "float-q", "value-shape", "modes-dict"])
+def test_massey_rejects_malformed_fourier_form(tmp_path, capsys, edit, message):
+    doc = _fourier_doc()
+    validate(doc, "fourier_form")
+    assert main(["massey", "--in", write(tmp_path, "ok.json", doc)]) == 0
+    capsys.readouterr()
+    edit(doc)
+    assert main(["massey", "--in", write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: fourier_form ") and message in err
 
 
 def _exact_theta0(rank, seed):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toruskit as tk
-from toruskit import exact
-from toruskit.hodge import MultiVector, pq_labels, pq_projectors, vector_wedge
+from toruskit import exact, hodge
+from toruskit.hodge import (MultiVector, derivation_matrix, pq_labels, pq_projectors,
+                           vector_wedge, verify_sublattice)
 
 from conftest import t0_exact, t0_periods
 
@@ -73,6 +74,84 @@ def test_projector_algebra(idm6):
                 for b in labels:
                     if a != b:
                         assert np.abs(projs[a] @ projs[b]).max() < 1e-9
+
+
+def _float_projectors_oracle(j, degree):
+    """The float Lagrange loop as it was before both fields shared one loop;
+    the byte oracle of pq_projectors."""
+    n = j.dim // 2
+    labels = pq_labels(n, degree)
+    d = derivation_matrix(j.j.astype(complex), degree)
+    size = d.shape[0]
+    out = {}
+    for (p, q) in labels:
+        acc = np.eye(size, dtype=complex)
+        lam = 1j * (p - q)
+        for (pp, qq) in labels:
+            if (pp, qq) == (p, q):
+                continue
+            mu = 1j * (pp - qq)
+            acc = acc @ (d - mu * np.eye(size)) / (lam - mu)
+        out[(p, q)] = acc
+    return out
+
+
+def _exact_projectors_oracle(j, degree):
+    """The Gaussian-rational Lagrange loop as it was before both fields
+    shared one loop; the entrywise oracle of pq_projectors(exact_mode=True)."""
+    n = j.dim // 2
+    labels = pq_labels(n, degree)
+    d = derivation_matrix(j.j_exact, degree)
+    dq = np.empty(d.shape, dtype=object)
+    for idx in np.ndindex(d.shape):
+        dq[idx] = exact.QI(d[idx])
+    size = d.shape[0]
+    out = {}
+    for (p, q) in labels:
+        acc = exact.eye_exact(size, exact.QI)
+        lam = exact.I_Q * (p - q)
+        for (pp, qq) in labels:
+            if (pp, qq) == (p, q):
+                continue
+            mu = exact.I_Q * (pp - qq)
+            shifted = dq.copy()
+            for i in range(size):
+                shifted[i, i] = shifted[i, i] - mu
+            acc = exact.mm(acc, shifted)
+            denom = lam - mu
+            acc = np.vectorize(lambda v: v / denom, otypes=[object])(acc)
+        out[(p, q)] = acc
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_float_projectors_match_oracle_bytes(idm6, degree):
+    for seed in range(3):
+        j = tk.random_structure(idm6, seed)
+        got = pq_projectors(j, degree)
+        want = _float_projectors_oracle(j, degree)
+        assert list(got) == list(want)
+        for label in want:
+            assert got[label].dtype == complex
+            assert got[label].tobytes() == want[label].tobytes()
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_exact_projectors_match_oracle(degree):
+    for seed in range(3):
+        j = tk.random_torus(3, seed, backend="rational").induced_structure()
+        got = pq_projectors(j, degree, exact_mode=True)
+        want = _exact_projectors_oracle(j, degree)
+        assert list(got) == list(want)
+        for label in want:
+            assert got[label].shape == want[label].shape
+            assert all(isinstance(a, exact.QI) and a == b
+                       for a, b in zip(got[label].ravel(), want[label].ravel()))
+
+
+def test_exact_projectors_need_rational_structure(j0):
+    with pytest.raises(tk.BackendRequired):
+        pq_projectors(j0, 2, exact_mode=True)
 
 
 def test_conjugation_symmetry(idm6):
@@ -229,14 +308,21 @@ def test_subtorus_verify_candidate():
     cand = np.zeros((4, 6), dtype=int)
     cand[0, 0] = cand[1, 1] = 1
     cand[2, 3] = cand[3, 4] = 1
-    got = tk.subtorus_search(t0_exact(), mode="verify", candidate=cand)
+    got = verify_sublattice(t0_exact(), cand)
     assert got is not None and got[1] == 2
 
 
 def test_subtorus_heuristic_float_t0():
     t = tk.make_torus(t0_periods())
-    got = tk.subtorus_search(t, mode="heuristic", bound=2)
+    got = tk.subtorus_search(t, bound=2)
     assert got is not None and got[1] == 1
+
+
+def test_subtorus_search_curve_has_none():
+    # at n = 1 the plane span{e1, Je1} is the whole lattice, not a subtorus
+    assert tk.subtorus_search(tk.make_torus(np.array([[1, 1j]]))) is None
+    curve = tk.make_torus(np.array([[exact.QI(1), exact.QI(0, 1)]], dtype=object))
+    assert tk.subtorus_search(curve) is None
 
 
 def test_subtorus_heuristic_random_clean():
@@ -284,6 +370,22 @@ def test_is_generic_rational_witness_is_e1_plane():
         assert ell == 1
         assert exact.rank_exact(exact.frac_matrix(np.vstack([basis, e1]))) == 2
         assert report.re_verify(t)
+
+
+def test_is_generic_asks_every_p_below_n(monkeypatch):
+    # Hodge classes in degrees 2p and 2n - 2p are dual only under a
+    # polarization, which a non-algebraic torus need not have: p = 3 at n = 4
+    # is its own question
+    asked = []
+
+    def spy(torus, p, bound=10):
+        asked.append(p)
+        return None
+
+    monkeypatch.setattr(hodge, "pp_class_heuristic", spy)
+    report = tk.is_generic(tk.random_torus(4, 0), bound=10)
+    assert asked == [1, 2, 3]
+    assert report.verdict == "no_obstruction_found"
 
 
 def test_is_generic_random_float_clean():

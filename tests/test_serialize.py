@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import toruskit as tk
-from toruskit import serialize
+from toruskit import hodge, serialize
 from toruskit.bundles import Character, ExtClass, GradedFlatBundle
 from toruskit.fourier import FourierForm, FourierFormSpace
 
@@ -122,7 +122,7 @@ def test_genericity_report_encoding():
     assert doc["verdict"] == "non_generic"
     assert doc["subtorus"]["l"] == 1
     basis = np.array(doc["subtorus"]["basis"])
-    assert tk.subtorus_search(t0_exact(), mode="verify", candidate=basis) is not None
+    assert hodge.verify_sublattice(t0_exact(), basis) is not None
 
 
 def test_unknown_type_rejected():
@@ -167,10 +167,10 @@ def test_metric_rejects_malformed_g(g):
                                  [[1.0, 0.0], [2.0]], 3.0])
 def test_complex_vector_rejects_malformed(doc):
     with pytest.raises(ValueError, match="^w is not"):
-        serialize.parse_complex_vector(doc, "w")
+        serialize.parse_complex(doc, "w", 1)
 
 
 def test_complex_vector_roundtrip():
     v = np.array([1.5 - 2j, 0.25j, -3.0])
-    back = serialize.parse_complex_vector(serialize.complex_vector(v), "v")
+    back = serialize.parse_complex(serialize.complex_array(v), "v", 1)
     assert back.tobytes() == v.tobytes()
