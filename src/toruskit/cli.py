@@ -102,14 +102,17 @@ def _cmd_check_generic(args) -> int:
 
 
 def _cmd_hodge_type(args) -> int:
-    w = serialize.decode_multivector(_read_json(args.infile))
     if args.torus:
         j = serialize.decode_torus(_read_json(args.torus)).induced_structure()
     elif args.structure:
         j = serialize.decode_structure(_read_json(args.structure))
     else:
         raise UsageError("hodge-type needs --torus or --structure")
-    label = hodge.hodge_type(w.to_float(), j, tol=args.tol)
+    doc = _read_json(args.infile)
+    if isinstance(doc, dict) and doc.get("dim") != j.dim:  # before C(dim, degree) terms
+        raise ValueError(f"multivector of dim {doc.get('dim')!r} does not match "
+                         f"the structure of dim {j.dim}")
+    label = hodge.hodge_type(serialize.decode_multivector(doc), j, tol=args.tol)
     doc = {"type": "hodge_type", "pq": None if label is None else list(label)}
     _emit(doc, args.out)
     return EXIT_OK if label is not None else EXIT_NEGATIVE

@@ -96,19 +96,11 @@ I_Q = QI(0, 1)
 
 def qi_matrix(rows) -> np.ndarray:
     """Object array of GaussianRational from nested lists of scalars."""
-    a = np.asarray(rows, dtype=object)
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(a.shape):
-        out[idx] = QI.coerce(a[idx])
-    return out
+    return np.frompyfunc(QI.coerce, 1, 1)(np.asarray(rows, dtype=object))
 
 
 def frac_matrix(rows) -> np.ndarray:
-    a = np.asarray(rows, dtype=object)
-    out = np.empty(a.shape, dtype=object)
-    for idx in np.ndindex(a.shape):
-        out[idx] = Fraction(a[idx])
-    return out
+    return np.frompyfunc(Fraction, 1, 1)(np.asarray(rows, dtype=object))
 
 
 def eye_exact(n, field=Fraction) -> np.ndarray:
@@ -120,11 +112,7 @@ def eye_exact(n, field=Fraction) -> np.ndarray:
 
 
 def to_complex(m: np.ndarray) -> np.ndarray:
-    out = np.empty(m.shape, dtype=complex)
-    for idx in np.ndindex(m.shape):
-        x = m[idx]
-        out[idx] = complex(x) if isinstance(x, QI) else complex(float(x), 0.0)
-    return out
+    return m.astype(complex)
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,15 +184,8 @@ def solve_exact(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def split_re_im(m: np.ndarray):
     """Fraction matrices (Re, Im) of a GaussianRational matrix."""
-    re = np.empty(m.shape, dtype=object)
-    im = np.empty(m.shape, dtype=object)
-    for idx in np.ndindex(m.shape):
-        x = m[idx]
-        if isinstance(x, QI):
-            re[idx], im[idx] = x.re, x.im
-        else:
-            re[idx], im[idx] = Fraction(x), Fraction(0)
-    return re, im
+    q = qi_matrix(m)
+    return np.frompyfunc(lambda x: x.re, 1, 1)(q), np.frompyfunc(lambda x: x.im, 1, 1)(q)
 
 
 def clear_denominators(vec) -> np.ndarray:

@@ -3,14 +3,15 @@
 The Hodge decomposition of Lambda^k is realized through the derivation
 extension of J: the (p,q) component is the i(p-q)-eigenspace, and the
 projectors are Lagrange polynomials in the derivation matrix. One loop builds
-them over floats or over Gaussian rationals; the rational ones decide the
-integral (p,p) kernels of a rational torus exactly.
+them over floats, which decompose every class, or over Gaussian rationals,
+which decide the integral (p,p) kernels of a rational torus exactly.
 
 Every route is read from the data: a torus with Gaussian-rational periods
-(and a structure with its rational J) takes the exact route, any other the
-float one. Genericity asks for a proper subtorus or an integral (p,p) class
-with 0 < p < n. A rational J always has the subtorus span_Q{e1, Je1}; a
-float torus gets a bounded LLL search, whose clean sweep is no proof.
+takes the exact route, any other the float one, and a MultiVector is exact
+when its coefficients are an object array. Genericity asks for a proper
+subtorus or an integral (p,p) class with 0 < p < n. A rational J always has
+the subtorus span_Q{e1, Je1}; a float torus gets a bounded LLL search, whose
+clean sweep is no proof.
 """
 
 from __future__ import annotations
@@ -50,43 +51,43 @@ class MultiVector:
     """Element of Lambda^k of the (complexified) lattice Z^{2n}.
 
     Coefficients are dense over the lexicographic basis of k-subsets of
-    {1..2n}; dtype complex128 for the float backend, Gaussian rational
-    objects for the exact one.
+    {1..2n}. The field is read from them: an object array holds exact
+    (Gaussian-rational) coefficients, any other array is held as complex128.
     """
 
-    def __init__(self, dim: int, degree: int, coeffs=None, backend: str = "f64"):
+    def __init__(self, dim: int, degree: int, coeffs=None):
         self.dim = int(dim)
         self.degree = int(degree)
-        self.backend = backend
         size = len(basis_subsets(self.dim, self.degree))
         if coeffs is None:
-            if backend == "f64":
-                coeffs = np.zeros(size, dtype=complex)
-            else:
-                coeffs = np.array([exact.QI(0)] * size, dtype=object)
+            coeffs = np.zeros(size, dtype=complex)
         else:
             coeffs = np.asarray(coeffs)
+            if coeffs.dtype != object:
+                coeffs = coeffs.astype(complex, copy=False)
             if coeffs.shape != (size,):
                 raise ValueError(f"expected {size} coefficients, got {coeffs.shape}")
         self.coeffs = coeffs
 
+    @property
+    def backend(self) -> str:
+        return "rational" if self.coeffs.dtype == object else "f64"
+
     @classmethod
-    def from_terms(cls, dim: int, degree: int, terms: dict, backend: str = "f64"):
-        w = cls(dim, degree, backend=backend)
+    def from_terms(cls, dim: int, degree: int, terms: dict):
         idx = subset_index(dim, degree)
-        coeffs = w.coeffs.copy()
+        exact_terms = np.asarray(list(terms.values())).dtype == object
+        coeffs = np.zeros(len(idx), dtype=object if exact_terms else complex)
         for subset, c in terms.items():
             s = tuple(sorted(subset))
             if len(s) != degree or len(set(s)) != degree:
                 raise ValueError(f"bad index set {subset}")
-            coeffs[idx[s]] = coeffs[idx[s]] + c
-        w.coeffs = coeffs
-        return w
+            coeffs[idx[s]] += c
+        return cls(dim, degree, coeffs)
 
     @classmethod
-    def basis_element(cls, dim: int, *indices, backend: str = "f64"):
-        one = 1.0 if backend == "f64" else exact.QI(1)
-        return cls.from_terms(dim, len(indices), {tuple(indices): one}, backend)
+    def basis_element(cls, dim: int, *indices):
+        return cls.from_terms(dim, len(indices), {tuple(indices): 1.0})
 
     def terms(self):
         for s, c in zip(basis_subsets(self.dim, self.degree), self.coeffs):
@@ -94,10 +95,8 @@ class MultiVector:
                 yield s, c
 
     def to_float(self) -> "MultiVector":
-        if self.backend == "f64":
-            return self
         return MultiVector(self.dim, self.degree,
-                           np.array([complex(c) for c in self.coeffs]))
+                           self.coeffs.astype(complex, copy=False))
 
     def norm(self) -> float:
         c = self.to_float().coeffs
@@ -110,24 +109,18 @@ class MultiVector:
         return total
 
     def conj(self) -> "MultiVector":
-        if self.backend == "f64":
-            return MultiVector(self.dim, self.degree, self.coeffs.conj())
-        cc = np.array([c.conjugate() for c in self.coeffs], dtype=object)
-        return MultiVector(self.dim, self.degree, cc, backend=self.backend)
+        return MultiVector(self.dim, self.degree, self.coeffs.conj())
 
     def __add__(self, other: "MultiVector") -> "MultiVector":
         self._check_like(other)
-        return MultiVector(self.dim, self.degree, self.coeffs + other.coeffs,
-                           backend=self.backend)
+        return MultiVector(self.dim, self.degree, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "MultiVector") -> "MultiVector":
         self._check_like(other)
-        return MultiVector(self.dim, self.degree, self.coeffs - other.coeffs,
-                           backend=self.backend)
+        return MultiVector(self.dim, self.degree, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "MultiVector":
-        return MultiVector(self.dim, self.degree, self.coeffs * scalar,
-                           backend=self.backend)
+        return MultiVector(self.dim, self.degree, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -136,33 +129,28 @@ class MultiVector:
             raise ValueError("degree/dimension mismatch")
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
-        self._check_like_dim(other)
-        out = MultiVector(self.dim, self.degree + other.degree, backend=self.backend)
-        idx = subset_index(self.dim, out.degree)
-        coeffs = out.coeffs.copy()
+        if self.dim != other.dim:
+            raise ValueError("ambient dimension mismatch")
+        degree = self.degree + other.degree
+        idx = subset_index(self.dim, degree)
+        coeffs = np.zeros(len(idx), dtype=np.result_type(self.coeffs, other.coeffs))
         for s1, c1 in self.terms():
             for s2, c2 in other.terms():
                 merged, sign = merge_sign(s1, s2)
                 if merged is not None:
-                    coeffs[idx[merged]] = coeffs[idx[merged]] + sign * c1 * c2
-        out.coeffs = coeffs
-        return out
-
-    def _check_like_dim(self, other):
-        if self.dim != other.dim:
-            raise ValueError("ambient dimension mismatch")
+                    coeffs[idx[merged]] += sign * c1 * c2
+        return MultiVector(self.dim, degree, coeffs)
 
     def __repr__(self):
         items = ", ".join(f"{s}:{c}" for s, c in list(self.terms())[:4])
         return f"MultiVector(deg={self.degree}, dim={self.dim}, {items} ...)"
 
 
-def vector_wedge(dim: int, *vectors, backend: str = "f64") -> MultiVector:
+def vector_wedge(dim: int, *vectors) -> MultiVector:
     """Wedge of plain vectors (each of length dim) as a MultiVector."""
     out = None
     for v in vectors:
-        w = MultiVector(dim, 1, np.asarray(
-            v, dtype=object if backend != "f64" else complex), backend=backend)
+        w = MultiVector(dim, 1, v)
         out = w if out is None else out.wedge(w)
     return out
 
@@ -206,7 +194,8 @@ def pq_projectors(j: ComplexStructure, degree: int, exact_mode: bool = False) ->
     """Spectral projectors of the derivation: Lagrange polynomials in D_J.
 
     Exact mode works over Gaussian rationals from the rational J and needs
-    one; float mode works over complex floats. Both run the same loop.
+    one (integral_pp_kernel is its caller); float mode works over complex
+    floats. Both run the same loop.
     """
     labels = pq_labels(j.dim // 2, degree)
     if exact_mode:
@@ -234,23 +223,13 @@ def pq_projectors(j: ComplexStructure, degree: int, exact_mode: bool = False) ->
 
 
 def pq_decompose(w: MultiVector, j: ComplexStructure) -> dict:
-    """Split w into its Hodge (p,q) components. Components sum back to w.
-
-    Exact when w has exact coefficients and j carries its rational J.
-    """
-    exact_mode = w.backend != "f64" and j.j_exact is not None
-    projs = pq_projectors(j, w.degree, exact_mode)
-    out = {}
-    if exact_mode:
-        coeffs = np.array([exact.QI.coerce(c) for c in w.coeffs], dtype=object)
-        for label, pi in projs.items():
-            out[label] = MultiVector(w.dim, w.degree, pi.dot(coeffs), backend="rational")
-        return out
+    """Split w into its Hodge (p,q) components over complex floats; an exact
+    class is decomposed through to_float(). Components sum back to w."""
     coeffs = w.to_float().coeffs
+    out = {}
     resid = 0.0
-    for label, pi in projs.items():
-        comp = pi @ coeffs
-        out[label] = MultiVector(w.dim, w.degree, comp)
+    for label, pi in pq_projectors(j, w.degree).items():
+        out[label] = MultiVector(w.dim, w.degree, pi @ coeffs)
         resid = max(resid, float(np.linalg.norm(pi @ pi - pi)))
     if resid > 1e-6:
         raise IllConditioned(f"projector algebra degraded (||P^2-P|| = {resid:.2e})")
@@ -265,16 +244,10 @@ def hodge_type(w: MultiVector, j: ComplexStructure, tol: float = 1e-9):
     total = w.norm()
     if total == 0:
         return None
-    comps = pq_decompose(w, j)
-    best, best_norm = None, -1.0
-    for label, comp in comps.items():
-        nn = comp.norm()
-        if nn > best_norm:
-            best, best_norm = label, nn
-    for label, comp in comps.items():
-        if label != best and comp.norm() >= tol * total:
-            return None
-    return best
+    norms = {label: comp.norm() for label, comp in pq_decompose(w, j).items()}
+    best = max(norms, key=norms.get)
+    mixed = any(nn >= tol * total for label, nn in norms.items() if label != best)
+    return None if mixed else best
 
 
 @dataclass
@@ -287,19 +260,19 @@ class GenericityReport:
     subtorus: tuple | None = None     # (integer basis rows, l)
     pp_class: tuple | None = None     # (p, integral MultiVector)
 
-    def re_verify(self, torus: MarkedTorus, tol: float = PP_RESIDUAL_TOL) -> bool:
-        """Re-check every certificate against the torus it was issued for."""
+    def re_verify(self, torus: MarkedTorus) -> bool:
+        """Re-check every certificate against the torus it was issued for, at
+        PP_RESIDUAL_TOL."""
         if self.verdict != "non_generic":
             return True
         ok = True
         if self.subtorus is not None:
-            basis, ell = self.subtorus
-            got = verify_sublattice(torus, basis, tol=tol)
-            ok = ok and got is not None and got[1] == ell
+            got = verify_sublattice(torus, self.subtorus[0])
+            ok = got is not None and got[1] == self.subtorus[1]
         if self.pp_class is not None:
             p, w = self.pp_class
             j = torus.induced_structure()
-            ok = ok and hodge_type(w.to_float(), j, tol=tol) == (p, p)
+            ok = ok and hodge_type(w, j, tol=PP_RESIDUAL_TOL) == (p, p)
         return ok
 
 
@@ -318,13 +291,9 @@ def integral_pp_kernel(torus: MarkedTorus, p: int) -> list[MultiVector]:
     non_pp = exact.eye_exact(pi.shape[0], exact.QI) - pi
     re, im = exact.split_re_im(non_pp)
     kernel = exact.nullspace(np.concatenate([re, im], axis=0))
-    out = []
-    for vec in kernel:
-        ints = exact.clear_denominators(vec)
-        out.append(MultiVector(2 * torus.n, 2 * p,
-                               np.array([exact.QI(int(v)) for v in ints], dtype=object),
-                               backend="rational"))
-    return out
+    return [MultiVector(2 * torus.n, 2 * p, np.array(
+        [exact.QI(int(v)) for v in exact.clear_denominators(vec)], dtype=object))
+        for vec in kernel]
 
 
 def pp_class_heuristic(torus: MarkedTorus, p: int, bound: int = 10):
@@ -346,9 +315,10 @@ def pp_class_heuristic(torus: MarkedTorus, p: int, bound: int = 10):
     return MultiVector(2 * torus.n, 2 * p, xf.astype(complex))
 
 
-def verify_sublattice(torus: MarkedTorus, basis, tol: float = PP_RESIDUAL_TOL):
+def verify_sublattice(torus: MarkedTorus, basis):
     """Check a candidate sublattice: returns (basis, l) when phi(L) spans a
-    complex subspace of dimension rank(L)/2, else None."""
+    complex subspace of dimension rank(L)/2, else None. A float torus counts
+    singular values above PP_RESIDUAL_TOL times the largest (or 1)."""
     rows = np.asarray(basis, dtype=object)
     if rows.ndim != 2 or rows.shape[0] % 2:
         return None
@@ -364,7 +334,7 @@ def verify_sublattice(torus: MarkedTorus, basis, tol: float = PP_RESIDUAL_TOL):
             return None
         img = torus.periods @ bf.T
         sv = np.linalg.svd(img, compute_uv=False)
-        rank = int(np.sum(sv > tol * max(sv[0], 1.0)))
+        rank = int(np.sum(sv > PP_RESIDUAL_TOL * max(sv[0], 1.0)))
     ell = rows.shape[0] // 2
     return (rows, ell) if rank == ell else None
 

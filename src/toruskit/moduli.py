@@ -24,6 +24,7 @@ PAIRED_TOL = 1e-9
 FACTORIZE_PAIRED_TOL = 1e-7
 FACTORIZE_DEFECT_TOL = 1e-10
 HOP_TOL = 1e-8
+INVARIANT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,11 @@ def _symmetric_basis(n2: int) -> np.ndarray:
     return basis
 
 
-def invariant_metric_subspace(i: ComplexStructure, j: ComplexStructure,
-                              rtol: float = 1e-10) -> np.ndarray:
+def invariant_metric_subspace(i: ComplexStructure, j: ComplexStructure) -> np.ndarray:
     """Orthonormal basis of {M symmetric : I^T M I = M and J^T M J = M},
     as a (k, n2, n2) stack; k = 0 when only M = 0 is invariant.
 
-    The nullspace of the map M -> (I^T M I - M, J^T M J - M) in the
+    The nullspace (at INVARIANT_RTOL) of M -> (I^T M I - M, J^T M J - M) in the
     coordinates of _symmetric_basis: rows are indexed by (structure, g),
     columns by the basis element e it is applied to.
     """
@@ -112,7 +112,7 @@ def invariant_metric_subspace(i: ComplexStructure, j: ComplexStructure,
         np.tensordot(basis, s.T @ basis @ s - basis, axes=([1, 2], [1, 2]))
         for s in (i.j, j.j)])
     _, sv, vt = np.linalg.svd(a)
-    null = vt[sv <= rtol * max(sv[0], 1.0)]
+    null = vt[sv <= INVARIANT_RTOL * max(sv[0], 1.0)]
     return np.tensordot(null, basis, axes=1)
 
 
@@ -163,6 +163,7 @@ def common_metric(i: ComplexStructure, j: ComplexStructure):
 
 # Random-start Gauss-Newton probes run after the warm starts.
 N_PROBES = 32
+CYCLE_STARTS = 12  # the cap on the cycle-arrangement warm starts
 
 
 def _doubled(vals: np.ndarray) -> np.ndarray:
@@ -208,19 +209,17 @@ def _cyclic_chain(d: np.ndarray):
     n = len(d) // 2
     alpha = np.empty(n)
     beta = np.empty(n)
-    t = 1.0
-    alpha[0] = d[0] / t
+    alpha[0] = d[0]
     for k in range(n):
         beta[k] = d[2 * k + 1] / alpha[k]
         if k + 1 < n:
             alpha[k + 1] = d[2 * k + 2] / beta[k]
-    closure = beta[n - 1] / t
-    return alpha, beta, abs(np.log(closure))
+    return alpha, beta, abs(np.log(beta[n - 1]))
 
 
-def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray,
-                              limit: int = 12) -> list:
-    """Warm starts from eigenvalue arrangements around the pairing cycle.
+def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray) -> list:
+    """At most CYCLE_STARTS warm starts from eigenvalue arrangements around
+    the pairing cycle.
 
     wv, qv is the eigendecomposition of the target. The interleaved matchings
     close exactly when a 3-subset of eigenvalues balances the alternating
@@ -247,7 +246,7 @@ def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray,
         a[2 * k + 1, n + k] += 1
     starts = []
     for eps, sub, rest in cands:
-        for perm in islice(permutations(rest), max(1, limit // len(cands) + 1)):
+        for perm in islice(permutations(rest), max(1, CYCLE_STARTS // len(cands) + 1)):
             order = []
             for k in range(n):
                 order.append(sub[k])
@@ -255,7 +254,7 @@ def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray,
             d = wv[list(order)]
             sol, *_ = np.linalg.lstsq(a, np.log(d), rcond=None)
             starts.append((qv[:, list(order)], -0.5 * sol[:n]))
-            if len(starts) >= limit:
+            if len(starts) >= CYCLE_STARTS:
                 return starts
     return starts
 
@@ -505,9 +504,9 @@ class ChainReport:
     hop_residuals: tuple
 
 
-def verify_chain(chain: Chain, tol: float = HOP_TOL) -> ChainReport:
-    """Check every hop: both endpoint structures preserve the hop metric,
-    structures square to -Id, metrics are positive definite."""
+def verify_chain(chain: Chain) -> ChainReport:
+    """Check every hop at HOP_TOL: both endpoint structures preserve the hop
+    metric, structures square to -Id, metrics are positive definite."""
     residuals = []
     worst = 0.0
     ok = True
@@ -524,7 +523,7 @@ def verify_chain(chain: Chain, tol: float = HOP_TOL) -> ChainReport:
     if chain.metrics:
         last = chain.structures[-1]
         worst = max(worst, rel_residual(last.j @ last.j, -np.eye(last.dim)))
-    if worst > tol:
+    if worst > HOP_TOL:
         ok = False
     return ChainReport(ok=ok, max_residual=worst, hops=chain.hops,
                        hop_residuals=tuple(residuals))

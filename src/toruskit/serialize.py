@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -41,15 +42,7 @@ def complex_array(a) -> list:
 
 
 def rational_matrix(m) -> list:
-    out = []
-    for row in m:
-        out.append([[str(exact.QI.coerce(x).re), str(exact.QI.coerce(x).im)]
-                    for x in row])
-    return out
-
-
-def parse_real_matrix(doc) -> np.ndarray:
-    return np.asarray(doc, dtype=float)
+    return [[[str(x.re), str(x.im)] for x in map(exact.QI.coerce, row)] for row in m]
 
 
 def parse_complex(doc, name: str, ndim: int) -> np.ndarray:
@@ -65,11 +58,43 @@ def parse_complex(doc, name: str, ndim: int) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def parse_rational_matrix(doc) -> np.ndarray:
-    rows = []
-    for row in doc:
-        rows.append([exact.QI(Fraction(re), Fraction(im)) for re, im in row])
-    return np.array(rows, dtype=object)
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # "p" or "p/q", q > 0
+
+
+def _fraction(x, name: str) -> Fraction:
+    if _is_finite_number(x) or isinstance(x, str) and _FRACTION.fullmatch(x):
+        return Fraction(x)
+    raise ValueError(f"{name} must be a \"p/q\" string with q > 0 or a finite "
+                     f"number, got {x!r}")
+
+
+def _gaussian(pair, name: str) -> exact.QI:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"{name} must be an [re, im] pair, got {pair!r}")
+    return exact.QI(_fraction(pair[0], name), _fraction(pair[1], name))
+
+
+def _exact_matrix(doc, name: str, entry) -> np.ndarray:
+    """Object matrix from rows of one length; entry(x, "name[r][c]") parses x."""
+    if not (isinstance(doc, list) and doc and all(
+            isinstance(row, list) and len(row) == len(doc[0]) > 0 for row in doc)):
+        raise ValueError(f"{name} must be a non-empty list of rows of one length")
+    out = np.empty((len(doc), len(doc[0])), dtype=object)
+    for r, c in np.ndindex(out.shape):
+        out[r, c] = entry(doc[r][c], f"{name}[{r}][{c}]")
+    return out
+
+
+def _document(doc, kind: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"the {kind} document must be a JSON object")
+    return doc
+
+
+def _is_rational(doc: dict, kind: str) -> bool:
+    if doc.get("backend", "f64") not in ("f64", "rational"):
+        raise ValueError(f"{kind} key 'backend' must be \"f64\" or \"rational\"")
+    return doc.get("backend") == "rational"
 
 
 def encode_torus(t: MarkedTorus) -> dict:
@@ -82,8 +107,8 @@ def encode_torus(t: MarkedTorus) -> dict:
 
 
 def decode_torus(doc: dict) -> MarkedTorus:
-    if doc.get("backend") == "rational":
-        return make_torus(parse_rational_matrix(doc["periods"]))
+    if _is_rational(_document(doc, "torus"), "torus"):
+        return make_torus(_exact_matrix(doc["periods"], "torus periods", _gaussian))
     return make_torus(parse_complex(doc["periods"], "torus key 'periods'", 2))
 
 
@@ -94,7 +119,7 @@ def encode_metric(m: Metric) -> dict:
 def _square_matrix(doc, name: str) -> np.ndarray:
     """A finite, non-empty, square real matrix; errors name it as `name`."""
     try:
-        m = parse_real_matrix(doc)
+        m = np.asarray(doc, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} is not a matrix of numbers") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
@@ -118,7 +143,7 @@ def _parse_metric(doc, name: str) -> Metric:
 
 
 def decode_metric(doc: dict) -> Metric:
-    return _parse_metric(doc["g"], "metric key 'g'")
+    return _parse_metric(_document(doc, "metric")["g"], "metric key 'g'")
 
 
 def encode_structure(j: ComplexStructure) -> dict:
@@ -129,12 +154,19 @@ def encode_structure(j: ComplexStructure) -> dict:
 
 
 def decode_structure(doc: dict) -> ComplexStructure:
-    if doc.get("backend") == "rational" and "j_exact" in doc:
-        jx = np.array([[Fraction(x) for x in row] for row in doc["j_exact"]],
-                      dtype=object)
-        jf = np.array([[float(x) for x in row] for row in jx], dtype=float)
-        return ComplexStructure(j=jf, j_exact=jx)
-    return ComplexStructure(parse_real_matrix(doc["j"]))
+    """ComplexStructure from its document. Only a rational one carries
+    j_exact, and its j must equal float(j_exact), as encode_structure writes."""
+    rational = _is_rational(_document(doc, "structure"), "structure")
+    if rational != ("j_exact" in doc):
+        raise ValueError("structure key 'j_exact' must be present exactly when "
+                         "the backend is \"rational\"")
+    if not rational:
+        return ComplexStructure(np.asarray(doc["j"], dtype=float))
+    jx = _exact_matrix(doc["j_exact"], "structure j_exact", _fraction)
+    jf = jx.astype(float)
+    if not np.array_equal(_square_matrix(doc["j"], "structure key 'j'"), jf):
+        raise ValueError("structure key 'j' differs from float(j_exact)")
+    return ComplexStructure(j=jf, j_exact=jx)
 
 
 def encode_multivector(w: MultiVector) -> dict:
@@ -165,7 +197,7 @@ def decode_multivector(doc: dict) -> MultiVector:
     dim >= 2 and 0 <= degree <= dim. Each term has degree strictly increasing
     1-based indices in 1..dim and finite numbers 're' and 'im', and no index
     set occurs twice. An error names the entry as terms[k]."""
-    dim, degree, terms = doc["dim"], doc["degree"], doc["terms"]
+    dim, degree, terms = _document(doc, "multivector")["dim"], doc["degree"], doc["terms"]
     if not (_is_int(dim) and dim >= 2):
         raise ValueError(f"multivector dim must be an integer >= 2, got {dim!r}")
     if not (_is_int(degree) and 0 <= degree <= dim):
@@ -223,6 +255,7 @@ def decode_chain(doc: dict) -> Chain:
     """Chain from its document. Each structure must be a finite square
     matrix and each hop metric passes decode_metric's checks; an error names
     the entry as structures[k] or metrics[k]."""
+    _document(doc, "chain")
     for key in ("structures", "metrics"):
         if not isinstance(doc[key], list):
             raise ValueError(f"chain key {key!r} must be a list")
@@ -248,9 +281,23 @@ def encode_ext_class(nu: ExtClass) -> dict:
     return {"type": "ext_class", "blocks": blocks, "forms": forms}
 
 
+def _parse_block(b, name: str) -> tuple:
+    if not (isinstance(b, dict) and {"phases", "rank"} <= b.keys()):
+        raise ValueError(f"{name} must be an object with keys 'phases' and 'rank'")
+    phases, rank = b["phases"], b["rank"]
+    if not (isinstance(phases, list) and all(_is_finite_number(p) for p in phases)):
+        raise ValueError(f"{name} 'phases' must be a list of finite numbers, "
+                         f"got {phases!r}")
+    if not (_is_int(rank) and rank >= 1):
+        raise ValueError(f"{name} 'rank' must be an integer >= 1, got {rank!r}")
+    return Character(tuple(phases)), rank
+
+
 def decode_ext_class(doc: dict) -> ExtClass:
+    if not isinstance(_document(doc, "ext_class")["blocks"], list):
+        raise ValueError("ext_class key 'blocks' must be a list")
     bundle = GradedFlatBundle(blocks=tuple(
-        (Character(tuple(b["phases"])), int(b["rank"])) for b in doc["blocks"]))
+        _parse_block(b, f"ext_class blocks[{k}]") for k, b in enumerate(doc["blocks"])))
     if not isinstance(doc["forms"], dict):
         raise ValueError("ext_class key 'forms' must map \"i,j\" block keys "
                          "to lists of complex matrices")
@@ -287,7 +334,7 @@ def decode_fourier_form(doc: dict):
     and its coeffs are finite [re, im] pairs of shape (C(n, q), *value_shape).
     An error names the entry as modes[k]."""
     from .fourier import FourierForm, FourierFormSpace
-    n, bound, q = doc["n"], doc["mode_bound"], doc["q"]
+    n, bound, q = _document(doc, "fourier_form")["n"], doc["mode_bound"], doc["q"]
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"fourier_form n must be an integer >= 1, got {n!r}")
     if not (_is_int(bound) and bound >= 1):
@@ -334,7 +381,7 @@ _DECODERS = {
 
 
 def decode(doc: dict):
-    kind = doc.get("type")
+    kind = _document(doc, "toruskit").get("type")
     if kind not in _DECODERS:
         raise ValueError(f"unknown or missing document type: {kind!r}")
     return _DECODERS[kind](doc)

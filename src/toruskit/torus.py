@@ -6,7 +6,7 @@ Conventions used throughout the package:
   period matrix whose columns are the images of the lattice generators.
 * For a complex structure J, V^{1,0} is the (+i)-eigenspace of J on the
   complexification and V^{0,1} the (-i)-eigenspace. Isotropic frames span
-  V^{0,1} (tag "v01").
+  V^{0,1}.
 * Two numeric backends for tori and structures: "f64" (numpy, default) and
   "rational" (Gaussian-rational periods with their exact rational J, as
   object arrays). The backend is read from the data: a torus is rational
@@ -26,6 +26,9 @@ from .errors import DegenerateLattice, IllConditioned, NotCompatible
 from .linalg import DEFAULT_TOL, frob, haar_orthogonal
 
 _DEGENERATE_RTOL = 1e-12
+# structure_from_frame: the smallest singular value of [conj(B) | B], relative
+# to the largest, below which V^{0,1} counts as meeting its conjugate.
+_CONJUGATE_RTOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -200,8 +203,8 @@ class ComplexStructure:
         g = metric.g
         return frob(self.j.T @ g @ self.j - g) / frob(g)
 
-    def is_compatible(self, metric: Metric, tol: float = DEFAULT_TOL) -> bool:
-        return self.compatibility_residual(metric) <= tol
+    def is_compatible(self, metric: Metric) -> bool:
+        return self.compatibility_residual(metric) <= DEFAULT_TOL
 
     def __neg__(self) -> "ComplexStructure":
         jx = None if self.j_exact is None else -self.j_exact
@@ -221,19 +224,16 @@ class IsotropicFrame:
 
     Isotropy B^T g B = 0 is metric-relative and checked where a metric is in
     scope (frame_from_structure, TwistorPoint); the frame itself only pins the
-    subspace and the eigenvalue-sign tag.
+    subspace.
     """
 
     basis: np.ndarray
-    tag: str = "v01"
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
         two_n, n = b.shape
         if two_n != 2 * n:
             raise ValueError(f"frame must be 2n x n, got {b.shape}")
-        if self.tag != "v01":
-            raise ValueError("only the (0,1) frame convention is supported")
         sv = np.linalg.svd(b, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise ValueError("frame columns are linearly dependent")
@@ -255,16 +255,15 @@ class IsotropicFrame:
         return IsotropicFrame(basis=self.basis.conj())
 
 
-def frame_from_structure(j: ComplexStructure, metric: Metric,
-                         tol: float = DEFAULT_TOL) -> IsotropicFrame:
+def frame_from_structure(j: ComplexStructure, metric: Metric) -> IsotropicFrame:
     """Basis of the (-i)-eigenspace of J, g-isotropic for a compatible metric.
 
-    Raises NotCompatible when ||J^T g J - g|| exceeds tolerance. Returns
-    unitary columns (pivoted QR of the eigenprojector), from the float J also
-    for a rational structure.
+    Raises NotCompatible when ||J^T g J - g|| / ||g|| exceeds DEFAULT_TOL.
+    Returns unitary columns (pivoted QR of the eigenprojector), from the float
+    J also for a rational structure.
     """
     res = j.compatibility_residual(metric)
-    if res > tol:
+    if res > DEFAULT_TOL:
         raise NotCompatible(f"J^T g J != g (relative residual {res:.3e})")
     two_n = j.dim
     n = two_n // 2
@@ -274,7 +273,7 @@ def frame_from_structure(j: ComplexStructure, metric: Metric,
     return IsotropicFrame(basis=basis)
 
 
-def structure_from_frame(frame: IsotropicFrame, rtol: float = 1e-10) -> ComplexStructure:
+def structure_from_frame(frame: IsotropicFrame) -> ComplexStructure:
     """Real J whose (-i)-eigenspace is span(frame).
 
     Raises IllConditioned when the natural projection V^{0,1} -> V is
@@ -282,7 +281,7 @@ def structure_from_frame(frame: IsotropicFrame, rtol: float = 1e-10) -> ComplexS
     """
     c = frame.combined()
     sv = np.linalg.svd(c, compute_uv=False)
-    if sv[-1] <= rtol * sv[0]:
+    if sv[-1] <= _CONJUGATE_RTOL * sv[0]:
         raise IllConditioned(
             f"V^(0,1) nearly meets its conjugate (sigma ratio {sv[-1] / sv[0]:.2e})")
     n = frame.n

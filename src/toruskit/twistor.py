@@ -26,6 +26,7 @@ from .torus import ComplexStructure, IsotropicFrame, Metric, frame_from_structur
 
 TRANSVERSALITY_RTOL = 1e-10
 ISOTROPY_TOL = 1e-10
+SKEW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,20 +100,19 @@ class FiberValue:
         object.__setattr__(self, "w", w)
 
 
-def transversal(i: TwistorPoint, j: TwistorPoint,
-                rtol: float = TRANSVERSALITY_RTOL) -> bool:
+def transversal(i: TwistorPoint, j: TwistorPoint) -> bool:
     """True iff V^{0,1}_I and V^{0,1}_J intersect trivially.
 
-    Criterion: smallest singular value of [frame_I | frame_J] above rtol times
-    the largest. The condition itself does not involve the metric; a mismatch
-    only gets a warning.
+    Criterion: smallest singular value of [frame_I | frame_J] above
+    TRANSVERSALITY_RTOL times the largest. The condition itself does not
+    involve the metric; a mismatch only gets a warning.
     """
     if i.metric is not j.metric and frob(i.metric.g - j.metric.g) > 1e-12:
         warnings.warn("transversality of points with different metrics",
                       stacklevel=2)
     m = np.hstack([i.frame.basis, j.frame.basis])
     sv = np.linalg.svd(m, compute_uv=False)
-    return bool(sv[-1] > rtol * sv[0])
+    return bool(sv[-1] > TRANSVERSALITY_RTOL * sv[0])
 
 
 def kappa(v: SectionVector, point: TwistorPoint) -> FiberValue:
@@ -213,21 +213,21 @@ def random_transversal_pair(metric: Metric, seed) -> tuple:
     raise RuntimeError("could not sample a transversal pair")  # pragma: no cover
 
 
-def b_minus_curvature(s: TwistorPoint, xi: np.ndarray, b: np.ndarray,
-                      tol: float = 1e-9) -> float:
+def b_minus_curvature(s: TwistorPoint, xi: np.ndarray, b: np.ndarray) -> float:
     """<Theta(xi, conj xi) b, b> on the tautological subbundle fiber.
 
     xi is a tangent vector in the skew model (n x n complex, skew-symmetric in
     the orthonormalized frame basis); b holds coordinates in the conjugate
     (V^{1,0)) basis. The sign convention Theta(xi, conj xi) = -xi* xi gives
     exactly -||xi b||^2: nonpositive, strictly negative unless xi kills b.
+    NotSkew when ||xi + xi^T|| exceeds SKEW_TOL relative to max(||xi||, 1).
     """
     xi = np.asarray(xi, dtype=complex)
     n = s.n
     if xi.shape != (n, n):
         raise ValueError(f"tangent matrix must be {n} x {n}")
     skew_defect = frob(xi + xi.T)
-    if skew_defect > tol * max(frob(xi), 1.0):
+    if skew_defect > SKEW_TOL * max(frob(xi), 1.0):
         raise NotSkew(f"tangent matrix fails skew symmetry ({skew_defect:.3e})")
     b = np.asarray(b, dtype=complex).reshape(n)
     image = xi @ b

@@ -13,7 +13,7 @@ from toruskit import bundles, serialize
 from toruskit.fourier import FourierForm, FourierFormSpace
 from toruskit.hodge import pq_projectors
 from toruskit.linalg import principal_angles, random_spd
-from toruskit.moduli import pair_defect
+from toruskit.moduli import HOP_TOL, pair_defect
 from toruskit.twistor import component_flip, random_transversal_pair, twistor_point
 
 from conftest import general_position_pair
@@ -172,6 +172,7 @@ def test_criterion_06_pair_factorization():
 
 
 def test_criterion_07_chain_construction():
+    assert HOP_TOL == 1e-8  # the criterion's pinned hop tolerance
     start = time.time()
     verified = 0
     direct = 0
@@ -179,7 +180,7 @@ def test_criterion_07_chain_construction():
     for seed in range(100):
         i, j = general_position_pair(40_000 + seed)
         chain = tk.connect(i, j, tk.ConnectOptions(seed=seed))
-        rep = tk.verify_chain(chain, tol=1e-8)
+        rep = tk.verify_chain(chain)
         if rep.ok and chain.hops <= 6:
             verified += 1
             worst = max(worst, rep.max_residual)

@@ -82,6 +82,18 @@ def test_sample_torus_matches_schema(capsys, kind, backend, schema):
         validate(json.loads(out), schema)
 
 
+def test_structure_schema_pins_j_exact():
+    import jsonschema
+    doc = serialize.encode_structure(
+        tk.random_torus(3, 2, backend="rational").induced_structure())
+    validate(doc, "structure")
+    without = {k: v for k, v in doc.items() if k != "j_exact"}
+    for bad in (dict(doc, backend="f64"), without,
+                dict(doc, j_exact=[["1/0"] * 6] * 6)):
+        with pytest.raises(jsonschema.ValidationError):
+            validate(bad, "structure")
+
+
 def _golden_torus(kind):
     if kind == "float":
         return tk.random_torus(3, 77)
@@ -556,3 +568,142 @@ def test_out_flag(tmp_path, capsys):
     code, out = run(["sample-torus", "--seed", "1", "--out", target], capsys)
     assert code == 0 and out == ""
     serialize.decode(json.loads(open(target).read()))
+
+
+_DELETE = object()
+
+
+def _set(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to value, or deletes the
+    entry for _DELETE."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if value is _DELETE:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+    return edit
+
+
+def _wrap_in_array(doc):
+    return [doc]
+
+
+def _unknown_backend(doc):
+    # float periods, which a decoder that read any backend but "rational" as
+    # f64 would accept
+    doc.update(backend="f32",
+               periods=serialize.complex_array(tk.make_torus(t0_periods()).periods))
+
+
+def _both_phases_nan(doc):
+    for block in doc["blocks"]:
+        block["phases"][0] = float("nan")
+    doc["forms"] = {}
+
+
+# (subcommand, edit of its main document, text the error must contain). Each
+# edit makes a document that a lax decoder crashes on or silently repairs.
+_BAD_INPUT = [
+    ("check-generic", _set(["periods", 0, 3], ["1/0", "0"]), "torus periods[0][3]"),
+    ("check-generic", _set(["periods", 0, 3], 1),
+     "torus periods[0][3] must be an [re, im] pair"),
+    ("check-generic", _set(["periods", 0, 3], [float("inf"), "0"]),
+     "torus periods[0][3]"),
+    ("check-generic", _set(["periods", 0, 3], [True, "0"]), "torus periods[0][3]"),
+    ("check-generic", _set(["periods"], None),
+     "torus periods must be a non-empty list"),
+    ("check-generic", _unknown_backend, "torus key 'backend'"),
+    ("check-generic", _wrap_in_array, "the torus document must be a JSON object"),
+    ("connect", _set(["j_exact", 0, 3], None), "structure j_exact[0][3]"),
+    ("connect", _set(["j_exact", 0, 3], "1/0"), "structure j_exact[0][3]"),
+    ("connect", lambda doc: doc["j"][0].__setitem__(3, doc["j"][0][3] + 0.5),
+     "structure key 'j' differs from float(j_exact)"),
+    ("connect", _set(["j_exact"], _DELETE), "'j_exact' must be present exactly"),
+    ("connect", _set(["backend"], "f64"), "'j_exact' must be present exactly"),
+    ("connect", _wrap_in_array, "the structure document must be a JSON object"),
+    ("bundle-extend", _set(["blocks"], 3), "ext_class key 'blocks' must be a list"),
+    ("bundle-extend", _set(["blocks", 0, "phases"], None),
+     "ext_class blocks[0] 'phases'"),
+    ("bundle-extend", _set(["blocks", 0, "phases", 2], True),
+     "ext_class blocks[0] 'phases'"),
+    ("bundle-extend", _both_phases_nan, "ext_class blocks[0] 'phases'"),
+    ("bundle-extend", _set(["blocks", 1, "rank"], 1.5), "ext_class blocks[1] 'rank'"),
+    ("bundle-extend", _set(["blocks", 1, "rank"], True), "ext_class blocks[1] 'rank'"),
+    ("bundle-extend", _wrap_in_array, "the ext_class document must be"),
+    ("hodge-type", _wrap_in_array, "the multivector document must be"),
+    ("section", _wrap_in_array, "the metric document must be"),
+    ("massey", _wrap_in_array, "the fourier_form document must be"),
+]
+
+
+def _command_files(tmp_path, command, edit):
+    """argv of a valid run of `command`, with `edit` applied to its main
+    document (the torus, the structure, the ext class, the multivector, the
+    metric or the Fourier form)."""
+    from toruskit.bundles import Character, ExtClass, GradedFlatBundle
+    from toruskit.twistor import random_transversal_pair
+    g = tk.identity_metric(6)
+    a, b = random_transversal_pair(g, 12)
+    i = write(tmp_path, "i.json", serialize.encode_structure(a.structure()))
+    j = write(tmp_path, "j.json", serialize.encode_structure(b.structure()))
+    ch = Character.trivial(6)
+    nu = ExtClass(bundle=GradedFlatBundle(blocks=((ch, 1), (ch, 1))),
+                  forms={(1, 0): np.full((3, 1, 1), 0.5 + 0.25j)})
+    rational = tk.random_torus(3, 2, backend="rational")
+    docs = {
+        "check-generic": serialize.encode_torus(rational),
+        "connect": serialize.encode_structure(rational.induced_structure()),
+        "bundle-extend": serialize.encode_ext_class(nu),
+        "hodge-type": serialize.encode_multivector(
+            tk.MultiVector.basis_element(6, 0, 3)),
+        "section": serialize.encode_metric(g),
+        "massey": _fourier_doc(),
+    }
+    doc = docs[command]
+    main_doc = write(tmp_path, "main.json", edit(doc) or doc)
+    wi = write(tmp_path, "wi.json", [[1.0, 0], [0, 1], [0, 0]])
+    t0 = write(tmp_path, "t0.json", serialize.encode_torus(tk.make_torus(t0_periods())))
+    return {
+        "check-generic": ["check-generic", "--in", main_doc],
+        "connect": ["connect", "--i", main_doc, "--j", main_doc],
+        "bundle-extend": ["bundle-extend", "--ext", main_doc, "--i", i, "--j", j,
+                          "--l", i, "--metric",
+                          write(tmp_path, "g.json", serialize.encode_metric(g))],
+        "hodge-type": ["hodge-type", "--in", main_doc, "--torus", t0],
+        "section": ["section", "--i", i, "--j", j, "--metric", main_doc,
+                    "--wi", wi, "--wj", wi],
+        "massey": ["massey", "--in", main_doc],
+    }[command]
+
+
+@pytest.mark.parametrize("command,edit,message", _BAD_INPUT,
+                         ids=[f"{c}-{k}" for k, (c, _, _) in enumerate(_BAD_INPUT)])
+def test_malformed_documents_exit_2(tmp_path, capsys, command, edit, message):
+    assert main(_command_files(tmp_path, command, lambda doc: None)) in (0, 10, 20)
+    capsys.readouterr()
+    assert main(_command_files(tmp_path, command, edit)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: ") and message in err
+
+
+def test_hodge_type_checks_dim_before_building_coefficients(tmp_path, t0_file,
+                                                            capsys, monkeypatch):
+    from toruskit import hodge
+    built = []
+    real = hodge.basis_subsets
+
+    def spy(dim, degree):
+        built.append(dim)
+        if dim > 6:
+            raise MemoryError(f"C({dim}, {degree}) coefficients")
+        return real(dim, degree)
+
+    monkeypatch.setattr(hodge, "basis_subsets", spy)
+    path = write(tmp_path, "w.json", {"type": "multivector", "dim": 10 ** 9,
+                                      "degree": 2, "terms": []})
+    assert main(["hodge-type", "--in", path, "--torus", t0_file]) == 2
+    assert ("multivector of dim 1000000000 does not match the structure of dim 6"
+            in capsys.readouterr().err)
+    assert 10 ** 9 not in built

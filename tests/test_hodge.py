@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,53 @@ def test_zero_decomposes_to_zero(j0):
 def test_volume_form_is_nn(j0):
     w = MultiVector.basis_element(6, 0, 1, 2, 3, 4, 5)
     assert tk.hodge_type(w, j0) == (3, 3)
+
+
+def _exact_class(terms):
+    return MultiVector.from_terms(6, 2, {s: exact.QI(*c) for s, c in terms.items()})
+
+
+def test_field_comes_from_the_coefficients():
+    qi = np.array([exact.QI(k, -k) for k in range(15)], dtype=object)
+    assert MultiVector(6, 2, qi).backend == "rational"
+    w = _exact_class({(0, 3): (Fraction(1, 2), 1), (1, 4): (Fraction(1, 3), 0)})
+    assert w.backend == "rational" and w.coeffs.dtype == object
+    assert w.coeffs[hodge.subset_index(6, 2)[(0, 3)]] == exact.QI(Fraction(1, 2), 1)
+    f = MultiVector.from_terms(6, 2, {(0, 3): 0.5 + 1j})
+    assert f.backend == "f64" and f.coeffs.dtype == np.complex128
+    assert MultiVector(6, 2, np.arange(15)).coeffs.dtype == np.complex128
+
+
+def test_exact_classes_stay_exact():
+    a = _exact_class({(0, 3): (Fraction(1, 2), 1), (1, 4): (Fraction(1, 3), 0)})
+    b = _exact_class({(2, 5): (2, 0), (0, 1): (0, -1)})
+    wedge = a.wedge(b)
+    assert list(wedge.terms())
+    for w in (wedge, a.conj(), a + b, a - b, a * exact.I_Q):
+        assert w.backend == "rational" and w.coeffs.dtype == object
+        assert all(isinstance(c, exact.QI) for _, c in w.terms())
+    at_03 = hodge.subset_index(6, 2)[(0, 3)]
+    assert a.conj().coeffs[at_03] == exact.QI(Fraction(1, 2), -1)
+    # exact, then rounded: the float wedge of the rounded classes agrees
+    rounded = a.to_float().wedge(b.to_float())
+    assert wedge.to_float().coeffs.dtype == np.complex128
+    assert np.abs(wedge.to_float().coeffs - rounded.coeffs).max() < 1e-15
+
+
+def test_float_classes_keep_complex128():
+    a = MultiVector(6, 2, np.random.default_rng(2).standard_normal(15))
+    b = MultiVector.basis_element(6, 2, 5)
+    for w in (a, b, a.wedge(b), a.conj(), a + b, a - b, 2.0 * a, a.to_float(),
+              vector_wedge(6, np.arange(6.0), np.ones(6))):
+        assert w.backend == "f64" and w.coeffs.dtype == np.complex128
+
+
+def test_exact_class_decomposes_through_to_float(j0):
+    w = _exact_class({(0, 3): (Fraction(1, 2), 1), (0, 1): (Fraction(1, 3), 0)})
+    got, want = tk.pq_decompose(w, j0), tk.pq_decompose(w.to_float(), j0)
+    assert list(got) == list(want)
+    for label in want:
+        assert got[label].coeffs.tobytes() == want[label].coeffs.tobytes()
 
 
 def test_projector_algebra(idm6):
@@ -266,15 +315,16 @@ def diag_rational_torus():
 
 
 def test_diagonal_rational_kernel_contains_coordinate_planes():
-    t = diag_rational_torus()
-    j = t.induced_structure()
+    # e_k ^ e_{k+3} lies exactly in the rational (1,1) span: adding it to the
+    # kernel basis leaves the exact rank unchanged
+    basis = np.array([w.coeffs for w in tk.integral_pp_kernel(diag_rational_torus(), 1)])
+    rank = exact.rank_exact(basis)
+    assert 0 < rank < 15
     for k in range(3):
-        w = MultiVector.from_terms(6, 2, {(k, k + 3): exact.QI(1)},
-                                   backend="rational")
-        comps = tk.pq_decompose(w, j)
-        for label, comp in comps.items():
-            if label != (1, 1):
-                assert all(c == 0 for c in comp.coeffs), "must be exactly (1,1)"
+        w = MultiVector.from_terms(6, 2, {(k, k + 3): exact.QI(1)})
+        assert exact.rank_exact(np.vstack([basis, w.coeffs])) == rank
+    mixed = MultiVector.from_terms(6, 2, {(0, 1): exact.QI(1)})
+    assert exact.rank_exact(np.vstack([basis, mixed.coeffs])) == rank + 1
 
 
 def test_pp_heuristic_finds_t0_witness(j0):
