@@ -79,10 +79,8 @@ def _sample(kind: str, n: int, seed: int, backend: str):
     return doc
 
 
-def _point_from_docs(structure_doc, metric_doc) -> twistor.TwistorPoint:
-    j = serialize.decode_structure(structure_doc)
-    g = serialize.decode_metric(metric_doc)
-    return twistor.twistor_point(j, g)
+def _point(structure_doc, g: Metric) -> twistor.TwistorPoint:
+    return twistor.twistor_point(serialize.decode_structure(structure_doc), g)
 
 
 def _cmd_sample_torus(args) -> int:
@@ -133,9 +131,9 @@ def _cmd_connect(args) -> int:
 
 
 def _cmd_section(args) -> int:
-    metric_doc = _read_json(args.metric)
-    pi = _point_from_docs(_read_json(args.i), metric_doc)
-    pj = _point_from_docs(_read_json(args.j), metric_doc)
+    g = serialize.decode_metric(_read_json(args.metric))
+    pi = _point(_read_json(args.i), g)
+    pj = _point(_read_json(args.j), g)
     wi = serialize.parse_complex(_read_json(args.wi), "wi", 1)
     wj = serialize.parse_complex(_read_json(args.wj), "wj", 1)
     v = twistor.section_solve(pi, pj, wi, wj)
@@ -148,10 +146,10 @@ def _cmd_section(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    metric_doc = _read_json(args.metric)
-    pi = _point_from_docs(_read_json(args.i), metric_doc)
-    pl = _point_from_docs(_read_json(args.l), metric_doc)
-    plp = _point_from_docs(_read_json(args.lp), metric_doc)
+    g = serialize.decode_metric(_read_json(args.metric))
+    pi = _point(_read_json(args.i), g)
+    pl = _point(_read_json(args.l), g)
+    plp = _point(_read_json(args.lp), g)
     t = serialize.parse_complex(_read_json(args.t), "t", 1)
     out = twistor.psi_transport(pi, pl, plp, t)
     _emit({"type": "transport", "w": serialize.complex_array(out.w)}, args.out)
@@ -160,10 +158,10 @@ def _cmd_transport(args) -> int:
 
 def _cmd_bundle_extend(args) -> int:
     nu = serialize.decode_ext_class(_read_json(args.ext))
-    metric_doc = _read_json(args.metric)
-    pj = _point_from_docs(_read_json(args.j), metric_doc)
-    pi = _point_from_docs(_read_json(args.i), metric_doc)
-    pl = _point_from_docs(_read_json(args.l), metric_doc)
+    g = serialize.decode_metric(_read_json(args.metric))
+    pj = _point(_read_json(args.j), g)
+    pi = _point(_read_json(args.i), g)
+    pl = _point(_read_json(args.l), g)
     extended = bundles.twistor_extend(nu, pj, pi, pl)
     _emit(serialize.encode_ext_class(extended), args.out)
     return EXIT_OK

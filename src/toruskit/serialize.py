@@ -8,6 +8,12 @@ matrices row-major arrays of [re, im] pairs. The rational backend serializes
 entries as "p/q" strings instead of numbers. Every document carries a
 "backend" field where the distinction matters. MultiVector indices and
 ExtClass block keys are 1-based on the wire.
+
+Reading rule: one walk, _nested, reads every entry. Numbers are JSON numbers,
+never strings or booleans; "p/q" strings appear only in rational periods and
+j_exact. A document is rejected, never repaired, and every error names its
+entry, such as `chain structures[2][0][1]`, `ext_class forms['2,1'][0][0][0]`
+or `metric key 'g' is missing`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -45,44 +52,95 @@ def rational_matrix(m) -> list:
     return [[[str(x.re), str(x.im)] for x in map(exact.QI.coerce, row)] for row in m]
 
 
-def parse_complex(doc, name: str, ndim: int) -> np.ndarray:
-    """A complex array of ndim dimensions from nested lists of finite
-    [re, im] pairs; errors name it as `name`."""
-    try:
-        a = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if (a is None or a.ndim != ndim + 1 or a.shape[-1] != 2
-            or not np.all(np.isfinite(a))):
-        raise ValueError(f"{name} is not a {ndim}-d array of finite [re, im] pairs")
-    return a[..., 0] + 1j * a[..., 1]
+def _number(x, what: str = "a finite number") -> float:
+    """A finite JSON number, never a bool; errors say it must be `what`."""
+    if type(x) in (int, float) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise ValueError(f"must be {what}, got {x!r}")
+
+
+def _integer(lo: int, hi: float = math.inf):
+    """Reader of an integer in lo..hi, never a bool."""
+    def read(x) -> int:
+        if type(x) is int and lo <= x <= hi:
+            return x
+        span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ValueError(f"must be an integer {span}, got {x!r}")
+    return read
 
 
 _FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # "p" or "p/q", q > 0
 
 
-def _fraction(x, name: str) -> Fraction:
-    if _is_finite_number(x) or isinstance(x, str) and _FRACTION.fullmatch(x):
-        return Fraction(x)
-    raise ValueError(f"{name} must be a \"p/q\" string with q > 0 or a finite "
-                     f"number, got {x!r}")
+def _fraction(x) -> Fraction:
+    """A "p/q" string with q > 0 or a finite number, exactly."""
+    if not (isinstance(x, str) and _FRACTION.fullmatch(x)):
+        _number(x, 'a "p/q" string with q > 0 or a finite number')
+    return Fraction(x)
 
 
-def _gaussian(pair, name: str) -> exact.QI:
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ValueError(f"{name} must be an [re, im] pair, got {pair!r}")
-    return exact.QI(_fraction(pair[0], name), _fraction(pair[1], name))
+def _pair(x, part=_number) -> tuple:
+    """An [re, im] pair, each part read by `part`."""
+    if not (isinstance(x, list) and len(x) == 2):
+        raise ValueError(f"must be an [re, im] pair, got {x!r}")
+    return part(x[0]), part(x[1])
 
 
-def _exact_matrix(doc, name: str, entry) -> np.ndarray:
-    """Object matrix from rows of one length; entry(x, "name[r][c]") parses x."""
-    if not (isinstance(doc, list) and doc and all(
-            isinstance(row, list) and len(row) == len(doc[0]) > 0 for row in doc)):
-        raise ValueError(f"{name} must be a non-empty list of rows of one length")
-    out = np.empty((len(doc), len(doc[0])), dtype=object)
-    for r, c in np.ndindex(out.shape):
-        out[r, c] = entry(doc[r][c], f"{name}[{r}][{c}]")
-    return out
+def _nested(doc, name: str, ndim: int, leaf, empty: bool = False) -> list:
+    """leaf(x) for every entry x of doc, as nested lists of the same shape.
+    doc is ndim levels of non-empty lists of one length per level, but the
+    outermost may be empty if `empty` is set. leaf raises ValueError("must be
+    ..."), and every error names its entry by its path, such as name[2][0]."""
+    shape = []
+
+    def fail(index, what):
+        raise ValueError(f"{name}{''.join(f'[{i}]' for i in index)} {what}") from None
+
+    def walk(x, index):
+        depth = len(index)
+        if depth == ndim:
+            try:
+                return leaf(x)
+            except ValueError as err:
+                fail(index, err)
+        if depth < len(shape):
+            if not (isinstance(x, list) and len(x) == shape[depth]):
+                fail(index, f"must be a list of length {shape[depth]}")
+        elif isinstance(x, list) and (x or empty and depth == 0):
+            shape.append(len(x))
+        else:
+            fail(index, "must be a list" if empty and depth == 0
+                 else "must be a non-empty list")
+        return [walk(y, (*index, i)) for i, y in enumerate(x)]
+
+    return walk(doc, ())
+
+
+def _field(doc, key: str, kind: str):
+    """doc[key] of the JSON object doc; errors name the object as `kind`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{kind} key {key!r} is missing")
+    return doc[key]
+
+
+def _read(doc, key: str, kind: str, ndim: int, leaf, empty: bool = False):
+    """_nested over doc[key], named after its object: a document's own key
+    bare (`metric g`), the key of a list entry quoted (`terms[0] 're'`)."""
+    name = f"{kind} {key!r}" if kind.endswith("]") else f"{kind} {key}"
+    return _nested(_field(doc, key, kind), name, ndim, leaf, empty)
+
+
+def _complex(pairs: list) -> np.ndarray:
+    a = np.array(pairs)
+    return a[..., 0] + 1j * a[..., 1]
+
+
+def parse_complex(doc, name: str, ndim: int) -> np.ndarray:
+    """A complex array of ndim dimensions from nested lists of finite
+    [re, im] pairs; errors name the entry by its path from `name`."""
+    return _complex(_nested(doc, name, ndim, _pair))
 
 
 def _document(doc, kind: str) -> dict:
@@ -108,32 +166,21 @@ def encode_torus(t: MarkedTorus) -> dict:
 
 def decode_torus(doc: dict) -> MarkedTorus:
     if _is_rational(_document(doc, "torus"), "torus"):
-        return make_torus(_exact_matrix(doc["periods"], "torus periods", _gaussian))
-    return make_torus(parse_complex(doc["periods"], "torus key 'periods'", 2))
+        return make_torus(np.array(_read(doc, "periods", "torus", 2, lambda x: exact.QI(
+            *_pair(x, _fraction))), dtype=object))
+    return make_torus(_complex(_read(doc, "periods", "torus", 2, _pair)))
 
 
 def encode_metric(m: Metric) -> dict:
     return {"type": "metric", "backend": "f64", "g": real_matrix(m.g)}
 
 
-def _square_matrix(doc, name: str) -> np.ndarray:
-    """A finite, non-empty, square real matrix; errors name it as `name`."""
-    try:
-        m = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} is not a matrix of numbers") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
-    return m
-
-
-def _parse_metric(doc, name: str) -> Metric:
-    """Metric from a document matrix, which must be finite, square and
+def _parse_metric(g: np.ndarray, name: str) -> Metric:
+    """Metric from a matrix read from a document, which must be square and
     symmetric. A document is rejected, never repaired; the symmetrization
     inside Metric is for matrices computed in the library."""
-    g = _square_matrix(doc, name)
+    if g.shape[0] != g.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {g.shape}")
     if frob(g - g.T) > 1e-12 * frob(g):
         raise ValueError(f"{name} is not symmetric")
     try:
@@ -143,7 +190,8 @@ def _parse_metric(doc, name: str) -> Metric:
 
 
 def decode_metric(doc: dict) -> Metric:
-    return _parse_metric(_document(doc, "metric")["g"], "metric key 'g'")
+    g = np.array(_read(_document(doc, "metric"), "g", "metric", 2, _number))
+    return _parse_metric(g, "metric g")
 
 
 def encode_structure(j: ComplexStructure) -> dict:
@@ -160,11 +208,12 @@ def decode_structure(doc: dict) -> ComplexStructure:
     if rational != ("j_exact" in doc):
         raise ValueError("structure key 'j_exact' must be present exactly when "
                          "the backend is \"rational\"")
+    j = np.array(_read(doc, "j", "structure", 2, _number))
     if not rational:
-        return ComplexStructure(np.asarray(doc["j"], dtype=float))
-    jx = _exact_matrix(doc["j_exact"], "structure j_exact", _fraction)
+        return ComplexStructure(j)
+    jx = np.array(_read(doc, "j_exact", "structure", 2, _fraction), dtype=object)
     jf = jx.astype(float)
-    if not np.array_equal(_square_matrix(doc["j"], "structure key 'j'"), jf):
+    if not np.array_equal(j, jf):
         raise ValueError("structure key 'j' differs from float(j_exact)")
     return ComplexStructure(j=jf, j_exact=jx)
 
@@ -179,53 +228,28 @@ def encode_multivector(w: MultiVector) -> dict:
             "terms": terms}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite_number(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def decode_multivector(doc: dict) -> MultiVector:
-    """MultiVector from its document. dim and degree are integers with
-    dim >= 2 and 0 <= degree <= dim. Each term has degree strictly increasing
-    1-based indices in 1..dim and finite numbers 're' and 'im', and no index
-    set occurs twice. An error names the entry as terms[k]."""
-    dim, degree, terms = _document(doc, "multivector")["dim"], doc["degree"], doc["terms"]
-    if not (_is_int(dim) and dim >= 2):
-        raise ValueError(f"multivector dim must be an integer >= 2, got {dim!r}")
-    if not (_is_int(degree) and 0 <= degree <= dim):
-        raise ValueError(f"multivector degree must be an integer in 0..{dim}, "
-                         f"got {degree!r}")
+    """MultiVector from its document: integers dim >= 2 and degree in 0..dim,
+    and terms of degree strictly increasing 1-based indices with finite 're'
+    and 'im'. No index set occurs twice."""
+    _document(doc, "multivector")
+    dim = _read(doc, "dim", "multivector", 0, _integer(2))
+    degree = _read(doc, "degree", "multivector", 0, _integer(0, dim))
+    terms = _field(doc, "terms", "multivector")
     if not isinstance(terms, list):
         raise ValueError("multivector key 'terms' must be a list")
     coeffs = {}
     for k, t in enumerate(terms):
         name = f"multivector terms[{k}]"
-        if not (isinstance(t, dict) and {"indices", "re", "im"} <= t.keys()):
-            raise ValueError(f"{name} must be an object with keys 'indices', "
-                             "'re' and 'im'")
-        idx = t["indices"]
-        if not (isinstance(idx, list) and len(idx) == degree
-                and all(_is_int(i) and 1 <= i <= dim for i in idx)
-                and all(a < b for a, b in zip(idx, idx[1:]))):
-            raise ValueError(f"{name} indices must be {degree} strictly "
-                             f"increasing 1-based indices in 1..{dim}, "
-                             f"got {idx!r}")
-        for part in ("re", "im"):
-            if not _is_finite_number(t[part]):
-                raise ValueError(f"{name} {part!r} must be a finite number, "
-                                 f"got {t[part]!r}")
+        idx = _read(t, "indices", name, 1, _integer(1, dim), empty=True)
+        if len(idx) != degree or any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"{name} 'indices' must be {degree} strictly "
+                             f"increasing 1-based indices in 1..{dim}, got {idx!r}")
+        re_part, im_part = (_read(t, part, name, 0, _number) for part in ("re", "im"))
         subset = tuple(i - 1 for i in idx)
         if subset in coeffs:
             raise ValueError(f"{name} repeats the indices {idx!r}")
-        coeffs[subset] = complex(t["re"], t["im"])
+        coeffs[subset] = complex(re_part, im_part)
     return MultiVector.from_terms(dim, degree, coeffs)
 
 
@@ -252,23 +276,19 @@ def encode_chain(chain: Chain) -> dict:
 
 
 def decode_chain(doc: dict) -> Chain:
-    """Chain from its document. Each structure must be a finite square
-    matrix and each hop metric passes decode_metric's checks; an error names
-    the entry as structures[k] or metrics[k]."""
+    """Chain from its document: lists of finite matrices of one shape (no
+    metrics for one structure). Each structure must square to -Id and each hop
+    metric passes decode_metric's checks; errors name structures[k] or metrics[k]."""
     _document(doc, "chain")
-    for key in ("structures", "metrics"):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"chain key {key!r} must be a list")
+    js = np.array(_read(doc, "structures", "chain", 3, _number))
+    gs = np.array(_read(doc, "metrics", "chain", 3, _number, empty=True))
     structures = []
-    for k, m in enumerate(doc["structures"]):
-        name = f"chain structures[{k}]"
-        j = _square_matrix(m, name)
+    for k, j in enumerate(js):
         try:
             structures.append(ComplexStructure(j))
         except ValueError as err:
-            raise ValueError(f"{name}: {err}") from None
-    metrics = tuple(_parse_metric(m, f"chain metrics[{k}]")
-                    for k, m in enumerate(doc["metrics"]))
+            raise ValueError(f"chain structures[{k}]: {err}") from None
+    metrics = tuple(_parse_metric(g, f"chain metrics[{k}]") for k, g in enumerate(gs))
     return Chain(structures=tuple(structures), metrics=metrics)
 
 
@@ -282,39 +302,28 @@ def encode_ext_class(nu: ExtClass) -> dict:
 
 
 def _parse_block(b, name: str) -> tuple:
-    if not (isinstance(b, dict) and {"phases", "rank"} <= b.keys()):
-        raise ValueError(f"{name} must be an object with keys 'phases' and 'rank'")
-    phases, rank = b["phases"], b["rank"]
-    if not (isinstance(phases, list) and all(_is_finite_number(p) for p in phases)):
-        raise ValueError(f"{name} 'phases' must be a list of finite numbers, "
-                         f"got {phases!r}")
-    if not (_is_int(rank) and rank >= 1):
-        raise ValueError(f"{name} 'rank' must be an integer >= 1, got {rank!r}")
-    return Character(tuple(phases)), rank
+    return Character(tuple(_read(b, "phases", name, 1, _number))), _read(
+        b, "rank", name, 0, _integer(1))
 
 
 def decode_ext_class(doc: dict) -> ExtClass:
-    if not isinstance(_document(doc, "ext_class")["blocks"], list):
+    """ExtClass from its document. A forms key is "i,j", two 1-based block
+    indices in ASCII digits, and maps to complex matrices of one shape."""
+    blocks = _field(_document(doc, "ext_class"), "blocks", "ext_class")
+    if not isinstance(blocks, list):
         raise ValueError("ext_class key 'blocks' must be a list")
     bundle = GradedFlatBundle(blocks=tuple(
-        _parse_block(b, f"ext_class blocks[{k}]") for k, b in enumerate(doc["blocks"])))
-    if not isinstance(doc["forms"], dict):
-        raise ValueError("ext_class key 'forms' must map \"i,j\" block keys "
-                         "to lists of complex matrices")
+        _parse_block(b, f"ext_class blocks[{k}]") for k, b in enumerate(blocks)))
+    if not isinstance(_field(doc, "forms", "ext_class"), dict):
+        raise ValueError("ext_class key 'forms' must be a JSON object")
     forms = {}
     for key, mats in doc["forms"].items():
-        try:
-            i, j = (int(x) for x in key.split(","))
-        except ValueError:
-            raise ValueError(f"forms key {key!r} is not \"i,j\"") from None
-        if not (1 <= i <= len(bundle.blocks) and 1 <= j <= len(bundle.blocks)):
-            raise ValueError(f"forms key {key!r} is not a pair of 1-based block "
-                             f"indices up to {len(bundle.blocks)}")
-        try:
-            forms[(i - 1, j - 1)] = np.stack([parse_complex(m, key, 2) for m in mats])
-        except (IndexError, TypeError, ValueError):
-            raise ValueError(f"forms[{key!r}] is not a non-empty list of complex "
-                             "matrices of one shape") from None
+        ij = re.fullmatch(r"([0-9]+),([0-9]+)", key)
+        if not (ij and all(1 <= int(x) <= len(bundle.blocks) for x in ij.groups())):
+            raise ValueError(f"ext_class forms key {key!r} is not \"i,j\" with "
+                             f"1-based block indices up to {len(bundle.blocks)}")
+        i, j = (int(x) - 1 for x in ij.groups())
+        forms[i, j] = parse_complex(mats, f"ext_class forms[{key!r}]", 3)
     return ExtClass(bundle=bundle, forms=forms)
 
 
@@ -328,45 +337,35 @@ def encode_fourier_form(form) -> dict:
 
 
 def decode_fourier_form(doc: dict):
-    """FourierForm from its document. n and mode_bound are integers >= 1, q
-    an integer in 0..n and value_shape a list of integers >= 1. Each mode m
-    is a list of 2n integers with |m_k| <= mode_bound, no mode occurs twice,
-    and its coeffs are finite [re, im] pairs of shape (C(n, q), *value_shape).
-    An error names the entry as modes[k]."""
+    """FourierForm from its document: integers n, mode_bound >= 1, q in 0..n
+    and value_shape entries >= 1. Each mode m is 2n integers with |m_k| <=
+    mode_bound, no mode occurs twice, and its coeffs are complex of shape
+    (C(n, q), *value_shape)."""
     from .fourier import FourierForm, FourierFormSpace
-    n, bound, q = _document(doc, "fourier_form")["n"], doc["mode_bound"], doc["q"]
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"fourier_form n must be an integer >= 1, got {n!r}")
-    if not (_is_int(bound) and bound >= 1):
-        raise ValueError("fourier_form mode_bound must be an integer >= 1, "
-                         f"got {bound!r}")
-    if not (_is_int(q) and 0 <= q <= n):
-        raise ValueError(f"fourier_form q must be an integer in 0..{n}, got {q!r}")
-    extra = doc.get("value_shape", [])
-    if not (isinstance(extra, list) and all(_is_int(e) and e >= 1 for e in extra)):
-        raise ValueError("fourier_form value_shape must be a list of integers "
-                         f">= 1, got {extra!r}")
-    if not isinstance(doc["modes"], list):
-        raise ValueError("fourier_form key 'modes' must be a list")
+    kind = "fourier_form"
+    _document(doc, kind)
+    n, bound = (_read(doc, key, kind, 0, _integer(1)) for key in ("n", "mode_bound"))
+    q = _read(doc, "q", kind, 0, _integer(0, n))
+    extra = tuple(_nested(doc.get("value_shape", []), f"{kind} value_shape", 1,
+                          _integer(1), empty=True))
+    if not isinstance(_field(doc, "modes", kind), list):
+        raise ValueError(f"{kind} key 'modes' must be a list")
     space = FourierFormSpace(n, bound)
     want = (space.ncomp(q), *extra)
     modes = {}
     for k, entry in enumerate(doc["modes"]):
-        name = f"fourier_form modes[{k}]"
-        if not (isinstance(entry, dict) and {"m", "coeffs"} <= entry.keys()):
-            raise ValueError(f"{name} must be an object with keys 'm' and 'coeffs'")
-        m = entry["m"]
-        if not (isinstance(m, list) and len(m) == 2 * n
-                and all(_is_int(x) and abs(x) <= bound for x in m)):
+        name = f"{kind} modes[{k}]"
+        m = _read(entry, "m", name, 1, _integer(-bound, bound))
+        if len(m) != 2 * n:
             raise ValueError(f"{name} 'm' must be {2 * n} integers in "
                              f"-{bound}..{bound}, got {m!r}")
         if tuple(m) in modes:
             raise ValueError(f"{name} repeats the mode {m!r}")
-        c = parse_complex(entry["coeffs"], f"{name} 'coeffs'", len(want))
+        c = _complex(_read(entry, "coeffs", name, len(want), _pair))
         if c.shape != want:
             raise ValueError(f"{name} 'coeffs' has shape {c.shape}, expected {want}")
         modes[tuple(m)] = c
-    return FourierForm(space, q, modes, extra=tuple(extra))
+    return FourierForm(space, q, modes, extra=extra)
 
 
 _DECODERS = {

@@ -159,10 +159,8 @@ def _multivector_doc(**term):
 @pytest.mark.parametrize("term,message", [
     ({"re": float("nan")}, "terms[0] 're' must be a finite number"),
     ({"re": "x"}, "terms[0] 're' must be a finite number"),
-    ({"indices": [0, 4]}, "terms[0] indices must be 2 strictly increasing "
-                          "1-based indices in 1..6, got [0, 4]"),
-    ({"indices": [1, 7]}, "terms[0] indices must be 2 strictly increasing "
-                          "1-based indices in 1..6, got [1, 7]"),
+    ({"indices": [0, 4]}, "terms[0] 'indices'[0] must be an integer in 1..6, got 0"),
+    ({"indices": [1, 7]}, "terms[0] 'indices'[1] must be an integer in 1..6, got 7"),
 ], ids=["nan", "string", "index-0", "index-past-dim"])
 def test_hodge_type_rejects_malformed_multivector(tmp_path, t0_file, capsys,
                                                   term, message):
@@ -298,7 +296,8 @@ def test_connect_rejects_non_finite_structure(tmp_path, capsys):
     pi = write(tmp_path, "i.json", doc)
     pj = write(tmp_path, "j.json", serialize.encode_structure(j))
     assert main(["connect", "--i", pi, "--j", pj, "--seed", "7"]) == 2
-    assert "bad input: J has non-finite entries" in capsys.readouterr().err
+    assert ("bad input: structure j[0][1] must be a finite number, got nan"
+            in capsys.readouterr().err)
 
 
 def test_section_cli_and_not_transversal(tmp_path, capsys):
@@ -373,7 +372,7 @@ def test_section_rejects_malformed_metric(tmp_path, capsys, g):
                  "--wi", wi, "--wj", wi])
     assert code == 2
     err = capsys.readouterr().err
-    assert "bad input" in err and "'g'" in err
+    assert "bad input: metric g" in err
 
 
 def test_transport_cli(tmp_path, capsys):
@@ -408,8 +407,32 @@ def test_bundle_extend_cli(tmp_path, capsys):
     code, out = run(["bundle-extend", "--ext", pe, "--i", pi, "--j", pj,
                      "--l", pi, "--metric", pg], capsys)
     assert code == 0
+    validate(json.loads(out), "ext_class")
     back = serialize.decode(json.loads(out))
     assert back.norm() < 1e-9  # restriction at I vanishes
+
+
+# Form keys that int() reads as the blocks 2 and 1 but that are not two runs of
+# ASCII digits around one comma
+_LAX_FORM_KEYS = (" 2,1", "+2,1", "\uff12,1", "2 , 1")
+
+
+def test_ext_class_schema_rejects_what_the_reader_rejects():
+    import jsonschema
+
+    from toruskit.bundles import Character, ExtClass, GradedFlatBundle
+    ch = Character.trivial(6)
+    nu = ExtClass(bundle=GradedFlatBundle(blocks=((ch, 1), (ch, 1))),
+                  forms={(1, 0): np.full((3, 1, 1), 0.5 + 0.25j)})
+    doc = serialize.encode_ext_class(nu)
+    validate(doc, "ext_class")
+    bad = [dict(doc, forms={key: doc["forms"]["2,1"]}) for key in _LAX_FORM_KEYS]
+    bad.append(dict(doc, forms={"2,1": [[[["0.5", 0.25]]]] * 3}))
+    for d in bad:
+        with pytest.raises(jsonschema.ValidationError):
+            validate(d, "ext_class")
+        with pytest.raises(ValueError, match=r"^ext_class forms"):
+            serialize.decode(d)
 
 
 @pytest.mark.parametrize("forms", [[], {"2,1": 5}, {"1,0": [[[[1.0, 0.0]]]] * 3}])
@@ -463,23 +486,24 @@ def _set_mode(k, m):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (_set_mode(1, [0.7, 0, 0, 0, 0, 0]), "modes[1] 'm' must be 6 integers in -3..3"),
+    (_set_mode(1, [0.7, 0, 0, 0, 0, 0]), "modes[1] 'm'[0] must be an integer in -3..3"),
     (_set_mode(1, [1, 0, 0]), "modes[1] 'm' must be 6 integers in -3..3"),
-    (_set_mode(1, [4, 0, 0, 0, 0, 0]), "modes[1] 'm' must be 6 integers in -3..3"),
-    (_set_mode(1, [True, 0, 0, 0, 0, 0]), "modes[1] 'm' must be 6 integers"),
+    (_set_mode(1, [4, 0, 0, 0, 0, 0]), "modes[1] 'm'[0] must be an integer in -3..3"),
+    (_set_mode(1, [True, 0, 0, 0, 0, 0]), "modes[1] 'm'[0] must be an integer"),
     (_set_mode(1, [0, 0, 0, 0, 0, 0]), "modes[1] repeats the mode [0, 0, 0, 0, 0, 0]"),
     (lambda doc: doc["modes"][0]["coeffs"][2][1].__setitem__(0, [float("nan"), 0.0]),
-     "modes[0] 'coeffs' is not a 3-d array of finite [re, im] pairs"),
+     "modes[0] 'coeffs'[2][1][0] must be a finite number, got nan"),
     (lambda doc: doc["modes"][0].update(coeffs=[[1.0, 0.0]] * 3),
-     "modes[0] 'coeffs' is not a 3-d array"),
+     "modes[0] 'coeffs'[0][0] must be a non-empty list"),
     (lambda doc: doc["modes"][0].update(coeffs=[[[[1.0, 0.0]]]] * 3),
      "modes[0] 'coeffs' has shape (3, 1, 1), expected (3, 2, 2)"),
-    (lambda doc: doc["modes"][0].pop("coeffs"), "modes[0] must be an object"),
+    (lambda doc: doc["modes"][0].pop("coeffs"), "modes[0] key 'coeffs' is missing"),
     (lambda doc: doc.update(n=True), "n must be an integer >= 1, got True"),
     (lambda doc: doc.update(mode_bound=0), "mode_bound must be an integer >= 1"),
     (lambda doc: doc.update(q=4), "q must be an integer in 0..3, got 4"),
     (lambda doc: doc.update(q=1.0), "q must be an integer in 0..3, got 1.0"),
-    (lambda doc: doc.update(value_shape=[2, "2"]), "value_shape must be a list"),
+    (lambda doc: doc.update(value_shape=[2, "2"]),
+     "value_shape[1] must be an integer >= 1, got '2'"),
     (lambda doc: doc.update(modes={}), "'modes' must be a list"),
 ], ids=["float-entry", "short", "out-of-cube", "bool-entry", "repeated",
         "nan-coeff", "coeffs-rank", "coeffs-shape", "no-coeffs", "bool-n",
@@ -597,6 +621,12 @@ def _unknown_backend(doc):
                periods=serialize.complex_array(tk.make_torus(t0_periods()).periods))
 
 
+def _form_key(key):
+    def edit(doc):
+        doc["forms"][key] = doc["forms"].pop("2,1")
+    return edit
+
+
 def _both_phases_nan(doc):
     for block in doc["blocks"]:
         block["phases"][0] = float("nan")
@@ -635,6 +665,11 @@ _BAD_INPUT = [
     ("hodge-type", _wrap_in_array, "the multivector document must be"),
     ("section", _wrap_in_array, "the metric document must be"),
     ("massey", _wrap_in_array, "the fourier_form document must be"),
+    *[("bundle-extend", _form_key(key), f"ext_class forms key {key!r} is not")
+      for key in _LAX_FORM_KEYS],
+    ("section", _set(["g"], [["1", "0"], [0, True]]),
+     "metric g[0][0] must be a finite number, got '1'"),
+    ("section", _set(["g"], _DELETE), "metric key 'g' is missing"),
 ]
 
 
@@ -707,3 +742,188 @@ def test_hodge_type_checks_dim_before_building_coefficients(tmp_path, t0_file,
     assert ("multivector of dim 1000000000 does not match the structure of dim 6"
             in capsys.readouterr().err)
     assert 10 ** 9 not in built
+
+
+# One valid document per decoder (two backends for torus and structure) and
+# the subcommand that reads it, for the fuzz test below. No subcommand reads
+# a chain document, and "vector" is a section vector read by parse_complex.
+_FUZZ_KINDS = ("torus", "torus-rational", "metric", "structure",
+               "structure-rational", "multivector", "chain", "ext_class",
+               "fourier_form", "vector")
+# top-level keys a decoder never reads, so a mutation there is not malformed
+# input ("n" is read only from a fourier_form)
+_UNREAD = {"type", "backend", "seed", "cond", "hops", "residual", "n"}
+_DROP = object()
+
+
+def _fuzz_setup(tmp_path):
+    from toruskit.bundles import Character, ExtClass, GradedFlatBundle
+    from toruskit.twistor import random_transversal_pair
+    g = tk.identity_metric(6)
+    a, b = random_transversal_pair(g, 12)
+    rational = tk.random_torus(3, 2, backend="rational")
+    nu = ExtClass(bundle=GradedFlatBundle(blocks=((Character.trivial(6), 1),) * 2),
+                  forms={(1, 0): np.full((3, 1, 1), 0.5 + 0.25j)})
+    one_hop = tk.connect(tk.random_structure(g, 1), tk.random_structure(g, 2),
+                         tk.ConnectOptions(seed=0))
+    docs = {
+        "torus": serialize.encode_torus(tk.random_torus(3, 77)),
+        "torus-rational": serialize.encode_torus(rational),
+        "metric": serialize.encode_metric(g),
+        "structure": serialize.encode_structure(a.structure()),
+        "structure-rational": serialize.encode_structure(rational.induced_structure()),
+        "multivector": serialize.encode_multivector(tk.MultiVector.from_terms(
+            6, 2, {(0, 3): 2.5 - 1j, (1, 4): 3.0})),
+        "chain": serialize.encode_chain(one_hop),
+        "ext_class": serialize.encode_ext_class(nu),
+        "fourier_form": _fourier_doc(),
+        "vector": [[1.0, 0], [0, 1], [0, 0]],
+    }
+    i = write(tmp_path, "i.json", docs["structure"])
+    j = write(tmp_path, "j.json", serialize.encode_structure(b.structure()))
+    gp = write(tmp_path, "g.json", docs["metric"])
+    w = write(tmp_path, "w.json", docs["vector"])
+    t0 = write(tmp_path, "t0.json", serialize.encode_torus(tk.make_torus(t0_periods())))
+    torus = ["check-generic", "--in"]
+    structure = ["connect", "--j", j, "--i"]
+    argv = {
+        "torus": torus, "torus-rational": torus,
+        "metric": ["section", "--i", i, "--j", j, "--wi", w, "--wj", w, "--metric"],
+        "structure": structure, "structure-rational": structure,
+        "multivector": ["hodge-type", "--torus", t0, "--in"],
+        "chain": None,
+        "ext_class": ["bundle-extend", "--i", i, "--j", j, "--l", i, "--metric", gp,
+                      "--ext"],
+        "fourier_form": ["massey", "--in"],
+        "vector": ["section", "--i", i, "--j", j, "--metric", gp, "--wj", w, "--wi"],
+    }
+    return docs, argv
+
+
+def _entry_name(kind, path):
+    """The name a decoder error gives the entry at `path` of a `kind`
+    document: top-level keys bare, keys inside entries quoted, forms keys and
+    list indices in brackets, and a number inside an [re, im] pair named by
+    its pair."""
+    if path and (kind == "vector" or {"periods", "coeffs", "forms"} & set(path)):
+        path = path[:-1] if isinstance(path[-1], int) else path
+    name = "w" if kind == "vector" else kind.split("-")[0]
+    for depth, key in enumerate(path):
+        if isinstance(key, int):
+            name += f"[{key}]"
+        elif depth and path[depth - 1] == "forms":
+            name += f"[{key!r}]"
+        else:
+            name += f" {key}" if depth == 0 else f" {key!r}"
+    return name
+
+
+def _fuzz_cases(kind, doc):
+    """(path, value, message) triples: each number of `doc` replaced by a
+    numeric string, true, null, NaN or a one-entry list, and each key
+    dropped, with the text the error must contain."""
+    from fractions import Fraction
+    cases = []
+
+    def visit(x, path):
+        if isinstance(x, dict):
+            for key, v in x.items():
+                if path or key not in _UNREAD or (kind, key) == ("fourier_form", "n"):
+                    missing = f"{_entry_name(kind, path)} key {key!r} is missing"
+                    if key == "j_exact":
+                        missing = "'j_exact' must be present exactly"
+                    if key != "value_shape" and path != ("forms",):  # optional
+                        cases.append((path + (key,), _DROP, missing))
+                    visit(v, path + (key,))
+        elif isinstance(x, list):
+            for k, v in enumerate(x):
+                visit(v, path + (k,))
+        else:
+            name = _entry_name(kind, path)
+            for value in (repr(float(Fraction(x))), True, None, float("nan"), [x]):
+                cases.append((path, value, name + " must be"))
+
+    visit(doc, ())
+    return cases
+
+
+def _mutate(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_fuzz_every_decoder_names_the_entry(tmp_path):
+    # One numeric leaf replaced by a string, a bool, null, NaN or a list, or
+    # one required key dropped: serialize raises ValueError naming the entry
+    # or key, and the subcommand that reads the document exits 2.
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    docs, argv = _fuzz_setup(tmp_path)
+    cases = {kind: _fuzz_cases(kind, docs[kind]) for kind in _FUZZ_KINDS}
+    path = tmp_path / "doc.json"
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.sampled_from(_FUZZ_KINDS).flatmap(
+        lambda kind: st.tuples(st.just(kind), st.sampled_from(cases[kind]))))
+    def check(case):
+        kind, (where, value, message) = case
+        doc = _mutate(docs[kind], where, value)
+        with pytest.raises(ValueError) as err:
+            if kind == "vector":
+                serialize.parse_complex(doc, "w", 1)
+            else:
+                serialize.decode(doc)
+        assert message in str(err.value), (kind, where, value)
+        if argv[kind] is not None:
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([*argv[kind], str(path)]) == 2, (kind, where, value)
+
+    check()
+
+
+def _determinism_argv(tmp_path, command):
+    from toruskit.twistor import random_transversal_pair
+    if command.startswith("sample-torus"):
+        return ["sample-torus", "--kind", command.split(":")[1]]
+    if command == "curvature-scan":
+        return ["curvature-scan", "--count", "20"]
+    g = tk.identity_metric(6)
+    if command == "connect":  # a 1-hop pair: both structures are g-compatible
+        return ["connect",
+                "--i", write(tmp_path, "ci.json", serialize.encode_structure(
+                    tk.random_structure(g, 1))),
+                "--j", write(tmp_path, "cj.json", serialize.encode_structure(
+                    tk.random_structure(g, 2)))]
+    if command == "transport":
+        a, b = random_transversal_pair(g, 8)
+        pi = write(tmp_path, "i.json", serialize.encode_structure(a.structure()))
+        pl = write(tmp_path, "l.json", serialize.encode_structure(b.structure()))
+        return ["transport", "--i", pi, "--l", pl, "--lp", pl,
+                "--metric", write(tmp_path, "g.json", serialize.encode_metric(g)),
+                "--t", write(tmp_path, "t.json", [[0.3, 0], [0, -0.2], [1, 0]])]
+    return _command_files(tmp_path, command, lambda doc: None)
+
+
+@pytest.mark.parametrize("command", [
+    "sample-torus:torus", "sample-torus:structure", "sample-torus:metric",
+    "sample-torus:ext-class", "check-generic", "hodge-type", "section",
+    "transport", "bundle-extend", "massey", "curvature-scan", "connect"])
+def test_subcommand_reruns_are_byte_identical(tmp_path, capsys, command):
+    argv = [*_determinism_argv(tmp_path, command), "--seed", "3"]
+    first, second = run(argv, capsys), run(argv, capsys)
+    assert first == second
+    assert first[0] in (0, 10, 20) and first[1]
+    if command == "connect":
+        assert json.loads(first[1])["hops"] == 1

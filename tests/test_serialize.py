@@ -75,6 +75,18 @@ def test_chain_roundtrip_connect_output():
     assert serialize.dumps(serialize.encode_chain(back)) == serialize.dumps(doc)
 
 
+def test_chain_roundtrip_zero_hops(idm6):
+    # connect(J, J) is one structure and no metrics
+    j = tk.random_structure(idm6, 1)
+    doc = serialize.encode_chain(tk.connect(j, j))
+    back = roundtrip(doc)
+    assert doc["metrics"] == [] and back.hops == 0
+    assert serialize.dumps(serialize.encode_chain(back)) == serialize.dumps(doc)
+    doc["structures"] = []
+    with pytest.raises(ValueError, match="^chain structures must be a non-empty list"):
+        serialize.decode(doc)
+
+
 @pytest.mark.parametrize("g", [[[1.0, 5.0], [-5.0, 1.0]],
                                [[1.0, 0.0], [0.0, float("nan")]]])
 def test_chain_rejects_malformed_hop_metric(g):
@@ -90,7 +102,8 @@ def test_chain_rejects_malformed_hop_metric(g):
 def test_chain_rejects_non_finite_structure(entry):
     doc = _chain_doc()
     doc["structures"][2][0][3] = entry
-    with pytest.raises(ValueError, match=r"structures\[2\] has non-finite"):
+    with pytest.raises(ValueError,
+                       match=r"^chain structures\[2\]\[0\]\[3\] must be a finite"):
         serialize.decode(doc)
 
 
@@ -157,16 +170,16 @@ def test_ext_class_rejects_zero_block_index():
 
 @pytest.mark.parametrize("g", [[[1.0, 5.0], [-5.0, 1.0]], [[1.0, 0.0, 0.0]],
                                [[1.0, 0.0], [0.0, float("inf")]], [1.0, 2.0],
-                               [[1.0], [2.0, 3.0]]])
+                               [[1.0], [2.0, 3.0]], [["1", "0"], [0, True]]])
 def test_metric_rejects_malformed_g(g):
-    with pytest.raises(ValueError, match="'g'"):
+    with pytest.raises(ValueError, match="^metric g"):
         serialize.decode({"type": "metric", "backend": "f64", "g": g})
 
 
 @pytest.mark.parametrize("doc", [[1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, float("nan")]],
-                                 [[1.0, 0.0], [2.0]], 3.0])
+                                 [[1.0, 0.0], [2.0]], 3.0, [["1", "0"], [True, False]]])
 def test_complex_vector_rejects_malformed(doc):
-    with pytest.raises(ValueError, match="^w is not"):
+    with pytest.raises(ValueError, match=r"^w(\[[01]\])? must be"):
         serialize.parse_complex(doc, "w", 1)
 
 
