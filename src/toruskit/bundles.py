@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fourier
 from .errors import Diverged, IndexOrder, NotTransversal, Obstructed
-from .hodge import basis_subsets, subset_index
+from .hodge import basis_subsets
 from .linalg import frob
 from .twistor import TwistorPoint, transversal
 
@@ -154,33 +153,10 @@ class ExtClass:
     __rmul__ = __mul__
 
 
-def mc_obstruction(nu: ExtClass) -> dict:
-    """(nu ^ nu)[i][j] = sum_k nu[k][j] ^ nu[i][k]: constant (0,2)-forms.
-
-    Returned as {(i, j): array (n(n-1)/2, r_j, r_i)} over the 2-subset basis;
-    zero entries are omitted. An empty dict means dbar_gr + nu squares to
-    zero, i.e. the class defines a holomorphic structure.
-    """
-    n = nu.n
-    pairs = basis_subsets(n, 2)
-    idx = subset_index(n, 2)
-    out = {}
-    for (k, j), f_kj in nu.forms.items():
-        for (i, k2), f_ik in nu.forms.items():
-            if k2 != k:
-                continue
-            acc = out.get((i, j))
-            if acc is None:
-                acc = np.zeros((len(pairs), f_kj.shape[1], f_ik.shape[2]),
-                               dtype=complex)
-                out[(i, j)] = acc
-            for (a, b) in pairs:
-                acc[idx[(a, b)]] += f_kj[a] @ f_ik[b] - f_kj[b] @ f_ik[a]
-    return {key: arr for key, arr in out.items() if np.any(np.abs(arr) > 0)}
-
-
 def obstruction_big(nu: ExtClass) -> np.ndarray:
-    """mc_obstruction embedded as full matrices, shape (n(n-1)/2, R, R)."""
+    """nu ^ nu as full matrices over the 2-subset basis, shape
+    (n(n-1)/2, R, R): (nu ^ nu)[i][j] = sum_k nu[k][j] ^ nu[i][k] sits in the
+    rows of block j and the columns of block i, as in big_matrices."""
     big = nu.big_matrices()
     n = nu.n
     pairs = basis_subsets(n, 2)
@@ -188,6 +164,19 @@ def obstruction_big(nu: ExtClass) -> np.ndarray:
     for pos, (a, b) in enumerate(pairs):
         out[pos] = big[a] @ big[b] - big[b] @ big[a]
     return out
+
+
+def mc_obstruction(nu: ExtClass) -> dict:
+    """The blocks of obstruction_big: {(i, j): array (n(n-1)/2, r_j, r_i)}
+    for i > j, constant (0,2)-forms; zero entries are omitted. An empty dict
+    means dbar_gr + nu squares to zero, i.e. the class defines a holomorphic
+    structure.
+    """
+    stack = obstruction_big(nu)
+    sl = nu.bundle.slices()
+    blocks = {(i, j): stack[:, sl[j], sl[i]]
+              for i in range(len(sl)) for j in range(i)}
+    return {key: arr for key, arr in blocks.items() if np.any(np.abs(arr) > 0)}
 
 
 def obstruction_norm(nu: ExtClass) -> float:
@@ -274,10 +263,7 @@ def massey_solve(theta0: fourier.FourierForm, tol: float = 1e-9,
         k = len(terms)
         s = None
         for i in range(k):
-            jj = k - 1 - i
-            if jj >= len(terms):
-                continue
-            w = fourier.wedge(terms[i], terms[jj])
+            w = fourier.wedge(terms[i], terms[k - 1 - i])
             s = w if s is None else s + w
         h = fourier.harmonic_part(s)
         if h.norm() > tol:
@@ -354,6 +340,9 @@ def flat_connection_check(nu: ExtClass, j_structure) -> FlatConnectionReport:
     (constant forms are closed). Holonomy rho(lambda_k) = exp(omega(lambda_k))
     chi(lambda_k) on the lattice generators; the report carries the curvature
     norm and the worst holonomy commutator, which vanish together.
+
+    omega is strictly block upper triangular, so omega^B = 0 for B blocks and
+    its exponential is the finite sum of omega^m / m! over m < B.
     """
     from .moduli import compatible_metric
     from .twistor import twistor_point
@@ -363,17 +352,16 @@ def flat_connection_check(nu: ExtClass, j_structure) -> FlatConnectionReport:
     c = point.frame.combined()
     dzbar_rows = np.linalg.inv(c)[n:, :]          # dzbar_a evaluated on e_k
     big = nu.big_matrices()
-    r = big.shape[1]
-    chi_diag = np.zeros((2 * n, r), dtype=complex)
-    for b, (ch, _) in enumerate(nu.bundle.blocks):
-        sl = nu.bundle.slices()[b]
-        vals = ch.values()
-        for k in range(2 * n):
-            chi_diag[k, sl] = vals[k]
+    chi = np.hstack([np.repeat(ch.values()[:, None], r, axis=1)
+                     for ch, r in nu.bundle.blocks])   # chi(lambda_k) per row k
     holonomy = []
     for k in range(2 * n):
         omega_k = np.tensordot(dzbar_rows[:, k], big, axes=(0, 0))
-        holonomy.append(scipy.linalg.expm(omega_k) @ np.diag(chi_diag[k]))
+        term = exp_k = np.eye(big.shape[1], dtype=complex)
+        for m in range(1, len(nu.bundle.blocks)):
+            term = term @ omega_k / m
+            exp_k = exp_k + term
+        holonomy.append(exp_k @ np.diag(chi[k]))
     worst = 0.0
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):

@@ -1,11 +1,11 @@
 """Truncated Fourier-side Dolbeault complex of the flat torus.
 
-A mode is a lattice character m in Z^{2n}; on the mode e^{2 pi i (m+twist).x}
-the d-bar operator wedges with the (0,1) part of the covector, whose
-components in the chosen frame are frame^T (m + twist). The Laplacian is
-scalar per mode (Clifford identity), so the Green operator is an explicit
-mode-diagonal contraction: that is the whole reason the Massey recursion is
-cheap here.
+A mode is a lattice character m in Z^{2n}; on the mode e^{2 pi i m.x} the
+d-bar operator wedges with the (0,1) part of the covector, whose components
+in the chosen frame are frame^T m. The Laplacian is scalar per mode
+(Clifford identity), so the Green operator is an explicit mode-diagonal
+contraction: that is the whole reason the Massey recursion is cheap here.
+Only the zero mode is harmonic.
 
 Forms are stored sparsely per mode. Coefficients are arrays of shape
 (ncomp(q),) for scalar forms or (ncomp(q), R, R) for End-valued ones; the
@@ -51,14 +51,8 @@ class FourierFormSpace:
     def in_bounds(self, mode) -> bool:
         return max(map(abs, map(int, mode)), default=0) <= self.mode_bound
 
-    def zeta(self, mode, twist=None) -> np.ndarray:
-        v = np.asarray(mode, dtype=float)
-        if twist is not None:
-            v = v + np.asarray(twist, dtype=float)
-        return self.frame.T @ v
-
-    def zero(self, q: int, extra: tuple = ()) -> "FourierForm":
-        return FourierForm(self, q, {}, extra=extra)
+    def zeta(self, mode) -> np.ndarray:
+        return self.frame.T @ np.asarray(mode, dtype=float)
 
     def constant(self, q: int, coeff: np.ndarray) -> "FourierForm":
         """Mode-0 form with the given coefficient array."""
@@ -84,9 +78,6 @@ class FourierForm:
                 raise ValueError(f"coefficient shape {c.shape}, expected {want}")
             if space.in_bounds(m) and c.any():
                 self.modes[tuple(map(int, m))] = c.copy()
-
-    def copy(self) -> "FourierForm":
-        return FourierForm(self.space, self.q, self.modes, extra=self.extra)
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in self.modes.values())))
@@ -139,56 +130,39 @@ def _contract_vector(space: FourierFormSpace, v: np.ndarray,
     return out
 
 
-def dbar(form: FourierForm, twist=None) -> FourierForm:
+def dbar(form: FourierForm) -> FourierForm:
     space = form.space
     out = {}
     for m, c in form.modes.items():
-        z = TWO_PI * 1j * space.zeta(m, twist)
+        z = TWO_PI * 1j * space.zeta(m)
         out[m] = _wedge_covector(space, z, c, form.q)
     return FourierForm(space, form.q + 1, out, extra=form.extra)
 
 
-def dbar_star(form: FourierForm, twist=None) -> FourierForm:
-    if form.q == 0:
-        raise ValueError("dbar_star is undefined on (0,0)-forms")
-    space = form.space
-    out = {}
-    for m, c in form.modes.items():
-        z = space.zeta(m, twist)
-        out[m] = (-TWO_PI * 1j) * _contract_vector(space, z.conj(), c, form.q)
-    return FourierForm(space, form.q - 1, out, extra=form.extra)
-
-
-def laplace_scalar(space: FourierFormSpace, mode, twist=None) -> float:
-    z = space.zeta(mode, twist)
+def laplace_scalar(space: FourierFormSpace, mode) -> float:
+    z = space.zeta(mode)
     return float(TWO_PI ** 2 * np.sum(np.abs(z) ** 2))
 
 
-def green(form: FourierForm, twist=None) -> FourierForm:
-    """Partial inverse of d-bar on its image: dbar_star / Laplacian, zero on
-    the harmonic (zero) modes."""
+def green(form: FourierForm) -> FourierForm:
+    """Partial inverse of d-bar on its image: dbar^* / Laplacian, zero on
+    the harmonic (zero) mode."""
     space = form.space
     out = {}
     for m, c in form.modes.items():
-        lam = laplace_scalar(space, m, twist)
+        lam = laplace_scalar(space, m)
         if lam < 1e-24:
             continue
-        z = space.zeta(m, twist)
+        z = space.zeta(m)
         out[m] = (-TWO_PI * 1j / lam) * _contract_vector(space, z.conj(), c, form.q)
     return FourierForm(space, form.q - 1, out, extra=form.extra)
 
 
-def harmonic_part(form: FourierForm, twist=None) -> FourierForm:
-    """Zero-mode extraction: modes whose twisted covector vanishes."""
-    space = form.space
-    out = {}
-    for m, c in form.modes.items():
-        v = np.asarray(m, dtype=float)
-        if twist is not None:
-            v = v + np.asarray(twist, dtype=float)
-        if np.max(np.abs(v)) < 1e-12:
-            out[m] = c
-    return FourierForm(space, form.q, out, extra=form.extra)
+def harmonic_part(form: FourierForm) -> FourierForm:
+    """The zero mode of the form, the only harmonic one."""
+    zero = (0,) * (2 * form.space.n)
+    out = {zero: form.modes[zero]} if zero in form.modes else {}
+    return FourierForm(form.space, form.q, out, extra=form.extra)
 
 
 # Bound on the temporaries of one batch of mode pairs in `wedge`, so that a

@@ -146,15 +146,6 @@ class MultiVector:
         return f"MultiVector(deg={self.degree}, dim={self.dim}, {items} ...)"
 
 
-def vector_wedge(dim: int, *vectors) -> MultiVector:
-    """Wedge of plain vectors (each of length dim) as a MultiVector."""
-    out = None
-    for v in vectors:
-        w = MultiVector(dim, 1, v)
-        out = w if out is None else out.wedge(w)
-    return out
-
-
 def derivation_matrix(jm: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of the derivation extension of J on Lambda^degree.
 

@@ -32,23 +32,5 @@ def random_spd(m: int, rng: np.random.Generator, cond: float = 10.0) -> np.ndarr
     return 0.5 * (g + g.T)
 
 
-def orthonormal_columns(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space (thin SVD, full numerical rank assumed)."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : a.shape[1]]
-
-
-def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of a and b, in [0, pi/2].
-
-    Sine-based: the arccos formula cannot resolve angles below sqrt(eps).
-    """
-    qa = orthonormal_columns(a)
-    qb = orthonormal_columns(b)
-    perp = qb - qa @ (qa.conj().T @ qb)
-    s = np.linalg.svd(perp, compute_uv=False)[::-1]
-    return np.arcsin(np.clip(s, 0.0, 1.0))[::-1]
-
-
 def min_eig_sym(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])

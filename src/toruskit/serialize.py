@@ -165,10 +165,18 @@ def encode_torus(t: MarkedTorus) -> dict:
 
 
 def decode_torus(doc: dict) -> MarkedTorus:
-    if _is_rational(_document(doc, "torus"), "torus"):
-        return make_torus(np.array(_read(doc, "periods", "torus", 2, lambda x: exact.QI(
+    """MarkedTorus from its document: a backend and n x 2n periods, of
+    numbers for f64 and of "p/q" strings or numbers for rational."""
+    _field(_document(doc, "torus"), "backend", "torus")
+    n = _read(doc, "n", "torus", 0, _integer(1))
+    if _is_rational(doc, "torus"):
+        t = make_torus(np.array(_read(doc, "periods", "torus", 2, lambda x: exact.QI(
             *_pair(x, _fraction))), dtype=object))
-    return make_torus(_complex(_read(doc, "periods", "torus", 2, _pair)))
+    else:
+        t = make_torus(_complex(_read(doc, "periods", "torus", 2, _pair)))
+    if n != t.n:
+        raise ValueError(f"torus n must be {t.n}, the number of period rows, got {n}")
+    return t
 
 
 def encode_metric(m: Metric) -> dict:
@@ -277,9 +285,13 @@ def encode_chain(chain: Chain) -> dict:
 
 def decode_chain(doc: dict) -> Chain:
     """Chain from its document: lists of finite matrices of one shape (no
-    metrics for one structure). Each structure must square to -Id and each hop
-    metric passes decode_metric's checks; errors name structures[k] or metrics[k]."""
+    metrics for one structure), hops equal to the number of metrics, and a
+    finite residual, which is not kept. Each structure must square to -Id and
+    each hop metric passes decode_metric's checks; errors name structures[k]
+    or metrics[k]."""
     _document(doc, "chain")
+    hops = _read(doc, "hops", "chain", 0, _integer(0, 6))
+    _read(doc, "residual", "chain", 0, _number)
     js = np.array(_read(doc, "structures", "chain", 3, _number))
     gs = np.array(_read(doc, "metrics", "chain", 3, _number, empty=True))
     structures = []
@@ -289,6 +301,8 @@ def decode_chain(doc: dict) -> Chain:
         except ValueError as err:
             raise ValueError(f"chain structures[{k}]: {err}") from None
     metrics = tuple(_parse_metric(g, f"chain metrics[{k}]") for k, g in enumerate(gs))
+    if hops != len(metrics):
+        raise ValueError(f"chain hops must be {len(metrics)}, one per metric, got {hops}")
     return Chain(structures=tuple(structures), metrics=metrics)
 
 

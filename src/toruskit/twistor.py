@@ -125,11 +125,6 @@ def kappa(v: SectionVector, point: TwistorPoint) -> FiberValue:
     return FiberValue(w=coords[point.n:], at=point)
 
 
-def lift(value: FiberValue) -> np.ndarray:
-    """The V^{0,1} representative of a fiber value, as a vector in C^{2n}."""
-    return value.at.frame.basis @ value.w
-
-
 def _as_fiber(value, point: TwistorPoint) -> FiberValue:
     if isinstance(value, FiberValue):
         if value.at is not point and frob(value.at.frame.basis - point.frame.basis) > 1e-12:
@@ -170,11 +165,6 @@ def psi_transport(i: TwistorPoint, target: TwistorPoint, source: TwistorPoint,
     zero = FiberValue(w=np.zeros(i.n, dtype=complex), at=i)
     v = section_solve(i, source, zero, t)
     return kappa(v, target)
-
-
-def tangent_dimension(n: int) -> int:
-    """Complex dimension of T_s S in the skew-matrix model: n(n-1)/2."""
-    return n * (n - 1) // 2
 
 
 def component_flip(j: ComplexStructure, metric: Metric) -> ComplexStructure:

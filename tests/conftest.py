@@ -29,6 +29,25 @@ def t0_exact(n=3):
     return tk.make_torus(per)
 
 
+def twisted_laplacian(space, mode, twist):
+    """Laplacian eigenvalue 4 pi^2 |frame^T (m + twist)|^2 of the mode m of
+    the complex twisted by a character with phases `twist`."""
+    z = space.frame.T @ (np.asarray(mode, dtype=float) + twist)
+    return float(4 * np.pi ** 2 * np.sum(np.abs(z) ** 2))
+
+
+def principal_angles(a, b):
+    """Principal angles between the column spans of a and b, in [0, pi/2].
+
+    Sine-based: the arccos formula cannot resolve angles below sqrt(eps).
+    Both bases are orthonormalized by a thin SVD (full rank assumed).
+    """
+    qa, qb = (np.linalg.svd(x, full_matrices=False)[0] for x in (a, b))
+    perp = qb - qa @ (qa.conj().T @ qb)
+    s = np.linalg.svd(perp, compute_uv=False)[::-1]
+    return np.arcsin(np.clip(s, 0.0, 1.0))[::-1]
+
+
 def general_position_pair(seed, n2=6):
     """Structures compatible with independent random metrics (no shared one)."""
     rng = np.random.default_rng(seed)

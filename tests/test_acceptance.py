@@ -12,11 +12,11 @@ import toruskit as tk
 from toruskit import bundles, serialize
 from toruskit.fourier import FourierForm, FourierFormSpace
 from toruskit.hodge import pq_projectors
-from toruskit.linalg import principal_angles, random_spd
+from toruskit.linalg import random_spd
 from toruskit.moduli import HOP_TOL, pair_defect
 from toruskit.twistor import component_flip, random_transversal_pair, twistor_point
 
-from conftest import general_position_pair
+from conftest import general_position_pair, principal_angles
 
 
 def report(num, ok, detail):

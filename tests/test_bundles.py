@@ -7,6 +7,8 @@ from toruskit.bundles import Character, ExtClass, GradedFlatBundle
 from toruskit.fourier import FourierForm, FourierFormSpace, dbar, laplace_scalar
 from toruskit.twistor import component_flip, random_transversal_pair, twistor_point
 
+from conftest import twisted_laplacian
+
 
 def trivial_chain_bundle(k, two_n=6):
     ch = Character.trivial(two_n)
@@ -56,7 +58,7 @@ def test_ext_dimension_fourier_oracle():
     assert zero_count == 1  # dim of harmonic (0,1) = n * that = n
     twist = np.zeros(6)
     twist[0] = 0.5
-    assert all(laplace_scalar(sp, m, twist) > 1e-6 for m in trivial)
+    assert all(twisted_laplacian(sp, m, twist) > 1e-6 for m in trivial)
 
 
 def test_character_reduction_mod_one():
@@ -347,3 +349,33 @@ def test_holonomy_commutes_iff_flat(j0):
             assert rep.max_commutator < 1e-10
         else:
             assert rep.max_commutator > 1e-8
+
+
+def test_holonomy_is_the_matrix_exponential(j0):
+    # flat_connection_check sums exp(omega_k) in finitely many terms because
+    # omega_k is nilpotent; scipy's expm is the reference.
+    import scipy.linalg
+
+    from toruskit.moduli import compatible_metric
+    j1 = tk.random_structure(tk.identity_metric(6), 5)
+    for blocks in (2, 3, 4):
+        for seed in range(4):
+            rng = np.random.default_rng(800 + 10 * blocks + seed)
+            ch = Character(phases=tuple(rng.integers(0, 8, 6) / 8.0))
+            ranks = [int(r) for r in rng.integers(1, 3, blocks)]
+            forms = {(i, j): rng.standard_normal((3, ranks[j], ranks[i]))
+                     + 1j * rng.standard_normal((3, ranks[j], ranks[i]))
+                     for i in range(blocks) for j in range(i)}
+            nu = ExtClass(bundle=GradedFlatBundle(
+                blocks=tuple((ch, r) for r in ranks)), forms=forms)
+            for j in (j0, j1):
+                rep = bundles.flat_connection_check(nu, j)
+                frame = twistor_point(j, compatible_metric(j)).frame
+                dzbar_rows = np.linalg.inv(frame.combined())[3:, :]
+                for k in range(6):
+                    omega = np.tensordot(dzbar_rows[:, k], nu.big_matrices(),
+                                         axes=(0, 0))
+                    chi_k = np.diag(np.full(sum(ranks), ch.values()[k]))
+                    want = scipy.linalg.expm(omega) @ chi_k
+                    err = np.linalg.norm(rep.holonomy[k] - want)
+                    assert err <= 1e-12 * np.linalg.norm(want), (blocks, seed, k)

@@ -750,9 +750,9 @@ def test_hodge_type_checks_dim_before_building_coefficients(tmp_path, t0_file,
 _FUZZ_KINDS = ("torus", "torus-rational", "metric", "structure",
                "structure-rational", "multivector", "chain", "ext_class",
                "fourier_form", "vector")
-# top-level keys a decoder never reads, so a mutation there is not malformed
-# input ("n" is read only from a fourier_form)
-_UNREAD = {"type", "backend", "seed", "cond", "hops", "residual", "n"}
+# top-level keys the fuzz leaves alone: "type" picks the decoder, "backend"
+# is a string, and no decoder reads "seed" or "cond"
+_UNREAD = {"type", "backend", "seed", "cond"}
 _DROP = object()
 
 
@@ -828,7 +828,7 @@ def _fuzz_cases(kind, doc):
     def visit(x, path):
         if isinstance(x, dict):
             for key, v in x.items():
-                if path or key not in _UNREAD or (kind, key) == ("fourier_form", "n"):
+                if path or key not in _UNREAD:
                     missing = f"{_entry_name(kind, path)} key {key!r} is missing"
                     if key == "j_exact":
                         missing = "'j_exact' must be present exactly"
@@ -891,6 +891,75 @@ def test_fuzz_every_decoder_names_the_entry(tmp_path):
                 assert main([*argv[kind], str(path)]) == 2, (kind, where, value)
 
     check()
+
+
+# Relations between two entries, which a draft-07 schema cannot state; the
+# decoder alone rejects a document that breaks one.
+_CROSS_ENTRY = ("structure key 'j' differs from float(j_exact)",
+                "torus n must be 3, the number of period rows, got 5",
+                "chain hops must be 0, one per metric, got 4")
+
+
+def _differential_corpus(tmp_path):
+    """(schema, document, message) triples. message is one of _CROSS_ENTRY
+    for a document only the decoder can reject, and None otherwise."""
+    docs, _ = _fuzz_setup(tmp_path)
+    corpus = []
+    for kind in _FUZZ_KINDS[:-1]:  # every kind but the bare section vector
+        schema = kind.split("-")[0]
+        corpus.append((schema, docs[kind], None))
+        corpus += [(schema, _mutate(docs[kind], where, value), None)
+                   for where, value, _ in _fuzz_cases(kind, docs[kind])]
+    schema_of = {"check-generic": "torus", "connect": "structure", "section": "metric"}
+    for command, edit, message in _BAD_INPUT:
+        if command in schema_of:
+            _command_files(tmp_path, command, edit)
+            doc = json.loads((tmp_path / "main.json").read_text())
+            corpus.append((schema_of[command], doc,
+                           message if message in _CROSS_ENTRY else None))
+    torus, chain = docs["torus"], docs["chain"]
+    no_key = lambda doc, key: {k: v for k, v in doc.items() if k != key}  # noqa: E731
+    periods = json.loads(json.dumps(torus["periods"]))
+    periods[0][0] = ["1", "0"]
+    corpus += [
+        ("torus", dict(torus, periods=periods), None),
+        ("torus", dict(torus, n=5), _CROSS_ENTRY[1]),
+        ("torus", no_key(torus, "n"), None),
+        ("torus", no_key(torus, "backend"), None),
+        ("chain", dict(chain, hops=4, structures=chain["structures"][:1], metrics=[]),
+         _CROSS_ENTRY[2]),
+        ("chain", no_key(chain, "residual"), None),
+    ]
+    return corpus
+
+
+def test_schemas_accept_exactly_what_the_decoders_accept(tmp_path):
+    import jsonschema
+    validators = {}
+    for schema in ("torus", "metric", "structure", "multivector", "chain",
+                   "ext_class", "fourier_form"):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
+                            "schemas", f"{schema}.schema.json")
+        with open(path, encoding="utf-8") as fh:
+            validators[schema] = jsonschema.Draft7Validator(json.load(fh))
+    checked = 0
+    for schema, doc, cross_entry in _differential_corpus(tmp_path):
+        try:
+            json.dumps(doc, allow_nan=False)
+        except ValueError:
+            continue  # NaN and infinity are not JSON, so no schema can rule on them
+        try:
+            serialize.decode(doc)
+            error = None
+        except ValueError as err:
+            error = str(err)
+        accepted = validators[schema].is_valid(doc)
+        if cross_entry is None:
+            assert accepted == (error is None), (schema, doc, error)
+        else:
+            assert accepted and error == cross_entry, (schema, error)
+        checked += 1
+    assert checked > 1000
 
 
 def _determinism_argv(tmp_path, command):

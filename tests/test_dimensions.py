@@ -4,8 +4,10 @@ import numpy as np
 
 import toruskit as tk
 from toruskit.hodge import pq_projectors
-from toruskit.linalg import principal_angles, random_spd
+from toruskit.linalg import random_spd
 from toruskit.twistor import random_transversal_pair
+
+from conftest import principal_angles
 
 
 def test_roundtrips_n4_n5():

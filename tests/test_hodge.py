@@ -8,9 +8,18 @@ from hypothesis import strategies as st
 import toruskit as tk
 from toruskit import exact, hodge
 from toruskit.hodge import (MultiVector, derivation_matrix, pq_labels, pq_projectors,
-                           vector_wedge, verify_sublattice)
+                           verify_sublattice)
 
 from conftest import t0_exact, t0_periods
+
+
+def vector_wedge(dim, *vectors):
+    """Wedge of plain vectors (each of length dim) as a MultiVector."""
+    out = None
+    for v in vectors:
+        w = MultiVector(dim, 1, v)
+        out = w if out is None else out.wedge(w)
+    return out
 
 
 def u_basis_vector(a, n=3):

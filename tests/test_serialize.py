@@ -87,6 +87,29 @@ def test_chain_roundtrip_zero_hops(idm6):
         serialize.decode(doc)
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t, c: dict(t, n=5), "^torus n must be 3, the number of period rows, got 5$"),
+    (lambda t, c: _without(t, "n"), "^torus key 'n' is missing$"),
+    (lambda t, c: _without(t, "backend"), "^torus key 'backend' is missing$"),
+    (lambda t, c: dict(c, hops=4, structures=c["structures"][:1], metrics=[]),
+     "^chain hops must be 0, one per metric, got 4$"),
+    (lambda t, c: _without(c, "residual"), "^chain key 'residual' is missing$"),
+    (lambda t, c: dict(c, residual="0"), "^chain residual must be a finite number"),
+])
+def test_decoders_read_the_required_keys(idm6, edit, message):
+    # a torus document's n and backend and a chain document's hops and
+    # residual are read, not assumed
+    torus = serialize.encode_torus(tk.make_torus(t0_periods()))
+    chain = serialize.encode_chain(tk.connect(tk.random_structure(idm6, 1),
+                                              tk.random_structure(idm6, 2)))
+    with pytest.raises(ValueError, match=message):
+        serialize.decode(edit(torus, chain))
+
+
 @pytest.mark.parametrize("g", [[[1.0, 5.0], [-5.0, 1.0]],
                                [[1.0, 0.0], [0.0, float("nan")]]])
 def test_chain_rejects_malformed_hop_metric(g):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import toruskit as tk
-from toruskit.linalg import principal_angles, random_spd
+from toruskit.linalg import random_spd
 
-from conftest import t0_exact, t0_periods
+from conftest import principal_angles, t0_exact, t0_periods
 
 
 def test_t0_is_valid():

@@ -3,8 +3,17 @@ import pytest
 
 import toruskit as tk
 from toruskit.linalg import random_spd
-from toruskit.twistor import component_flip, lift, random_transversal_pair, \
-    tangent_dimension, twistor_point
+from toruskit.twistor import component_flip, random_transversal_pair, twistor_point
+
+
+def lift(value):
+    """The V^{0,1} representative of a fiber value, as a vector in C^{2n}."""
+    return value.at.frame.basis @ value.w
+
+
+def tangent_dimension(n):
+    """Complex dimension of T_s S in the skew-matrix model: n(n-1)/2."""
+    return n * (n - 1) // 2
 
 
 def test_conjugate_transversal(idm6, j0):
