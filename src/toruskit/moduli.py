@@ -259,25 +259,23 @@ def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray) -> list:
     return starts
 
 
-def _warm_starts(h_hat: np.ndarray) -> list:
-    """(q, t) starts in job order: the interleaved-pairing closed form (on
-    the diagonal itself for a diagonal target, then in the eigenframe),
-    the eigenframe at the pair means, the identity, and the cycle
-    arrangements."""
+def _warm_starts(h_hat: np.ndarray):
+    """(q, t) starts in job order, yielded lazily: the interleaved-pairing
+    closed form (on the diagonal itself for a diagonal target, then in the
+    eigenframe), the eigenframe at the pair means, the identity, and the
+    cycle arrangements, which are built only if every earlier start fails."""
     n2 = h_hat.shape[0]
     off_diag = frob(h_hat - np.diag(np.diag(h_hat)))
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
     if off_diag <= 1e-12 * max(frob(h_hat), 1.0):
         alpha, _, _ = _cyclic_chain(np.diag(h_hat))
-        starts.append((np.eye(n2), -0.5 * np.log(alpha)))
+        yield np.eye(n2), -0.5 * np.log(alpha)
     wv, qv = np.linalg.eigh(h_hat)
     alpha, _, _ = _cyclic_chain(wv)
-    starts.append((qv, -0.5 * np.log(np.abs(alpha))))
+    yield qv, -0.5 * np.log(np.abs(alpha))
     pair_means = np.sqrt(wv[0::2] * wv[1::2])
-    starts.append((qv, -0.5 * np.log(pair_means)))
-    starts.append((np.eye(n2), np.zeros(n2 // 2)))
-    starts.extend(_cycle_arrangement_starts(wv, qv))
-    return starts
+    yield qv, -0.5 * np.log(pair_means)
+    yield np.eye(n2), np.zeros(n2 // 2)
+    yield from _cycle_arrangement_starts(wv, qv)
 
 
 class _FactorizeProblem:
@@ -297,61 +295,64 @@ class _FactorizeProblem:
         self.n = self.n2 // 2
         self.evals = 0
 
-    def y_matrix(self, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # det-1 gauge: the overall scale of Y is invisible to relative gaps.
-        t = np.clip(t - np.mean(t), -40.0, 40.0)
-        return (q * _doubled(np.exp(t))) @ q.T
-
     def x_matrix(self, q: np.ndarray, t: np.ndarray) -> np.ndarray:
         """X = Y^{-2} at the raw (uncentered) scale of t."""
         return (q * _doubled(np.exp(-2.0 * t))) @ q.T
 
-    def ratio_eigs(self, q: np.ndarray, t: np.ndarray):
-        y = self.y_matrix(q, t)
-        return np.linalg.eigvalsh(y @ self.h @ y)
-
-    def defect_qt(self, q: np.ndarray, t: np.ndarray) -> float:
-        """Relative pair-gap defect (internal objective)."""
+    def evaluate(self, q: np.ndarray, t: np.ndarray):
+        """Relative pair-gap defect (internal objective) at (q, t), and the
+        pieces it is built from: the doubled exp(t), Y, Y @ H and
+        R = (Y @ H) @ Y, which polish and jacobian reuse."""
         self.evals += 1
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = self.ratio_eigs(q, t)
-        except np.linalg.LinAlgError:
-            return np.inf
-        if not np.all(np.isfinite(w)):
-            return np.inf
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # det-1 gauge: the overall scale of Y is invisible to relative
+            # gaps. sum / size and maximum/minimum give np.mean's and
+            # np.clip's bits without their wrapper cost.
+            t = t - t.sum() / t.size
+            d_exp = _doubled(np.exp(np.minimum(np.maximum(t, -40.0), 40.0)))
+            y = (q * d_exp) @ q.T
+            yh = y @ self.h
+            r_mat = yh @ y
+            pieces = d_exp, y, yh, r_mat
+            try:
+                w = np.linalg.eigvalsh(r_mat)
+            except np.linalg.LinAlgError:
+                return np.inf, pieces
+            if not np.isfinite(w).all():
+                return np.inf, pieces
             means = np.maximum(0.5 * (w[1::2] + w[0::2]), 1e-300)
             gaps = (w[1::2] - w[0::2]) / means
-            return float(np.sum(gaps * gaps))
+            return float((gaps * gaps).sum()), pieces
 
-    def jacobian(self, q: np.ndarray, t: np.ndarray, y: np.ndarray,
-                 v: np.ndarray, means) -> np.ndarray:
-        """Jacobian of the pair residuals at Y = y_matrix(q, t).
+    def jacobian(self, q: np.ndarray, pieces, v: np.ndarray,
+                 means: np.ndarray) -> np.ndarray:
+        """Jacobian of the pair residuals at the point `pieces` of evaluate
+        came from, reusing its doubled exp(t), Y and Y @ H.
 
         Columns: the unit skew generators acting on q, then the log-scale of
         each eigenvalue pair of Y. Rows: per pair (a, b) of eigenvectors v,
         the diagonal difference and twice the off-diagonal of dR, both over
-        the pair mean. Every product is a batched matmul, which runs the same
+        the pair mean. Every product is a batched matmul (u = v_a^T dR for
+        every eigenvector at once, then u v_a and u_a v_b), which runs the same
         BLAS call on each slice as the one-column-at-a-time form, so the
         result is the same to the bit. Keep the association orders and the
-        v^T dR side: dR @ v or an einsum would round differently.
+        v^T dR side: dR @ v, v^T dR v as one product or an einsum would round
+        differently.
         """
+        d_exp, y, yh, _ = pieces
         gens = _skew_generators(self.n2)
-        d_exp = _doubled(np.exp(np.clip(t - np.mean(t), -40.0, 40.0)))
         # row k selects the pair k of d_exp: the scale direction of pair k
         sel = np.repeat(np.eye(self.n), 2, axis=1) * d_exp
         dy = np.concatenate([gens @ y - y @ gens,
                              (q * sel[:, None, :]) @ q.T])
-        dr = dy @ self.h @ y + (y @ self.h) @ dy
+        dr = dy @ self.h @ y + yh @ dy
+        cols = v.T[:, None, :, None]
+        u = v.T[:, None, None, :] @ dr
+        diag = (u @ cols)[..., 0, 0]
+        off = (u[0::2] @ cols[1::2])[..., 0, 0]
         jac = np.empty((2 * self.n, len(dr)))
-        for pi in range(self.n):
-            va = v[:, 2 * pi, None]
-            vb = v[:, 2 * pi + 1, None]
-            ua = va.T @ dr
-            ub = vb.T @ dr
-            jac[2 * pi] = ((ua @ va) - (ub @ vb))[:, 0, 0] / means[pi]
-            jac[2 * pi + 1] = 2.0 * (ua @ vb)[:, 0, 0] / means[pi]
+        jac[0::2] = (diag[0::2] - diag[1::2]) / means[:, None]
+        jac[1::2] = 2.0 * off / means[:, None]
         return jac
 
     def polish(self, q: np.ndarray, t: np.ndarray, max_iter: int = 60):
@@ -361,24 +362,24 @@ class _FactorizeProblem:
         block; the smooth residuals (difference of diagonal, twice the
         off-diagonal in the frozen eigenbasis, both over the pair mean)
         vanish exactly when the pair coalesces, so the iteration converges
-        quadratically to machine level.
+        quadratically to machine level. Each iteration starts from the
+        pieces evaluate built for the accepted point, so no point is
+        evaluated twice.
         """
         ntheta = self.n2 * (self.n2 - 1) // 2
-        pairs = [(2 * i, 2 * i + 1) for i in range(self.n)]
-        best = self.defect_qt(q, t)
+        best, pieces = self.evaluate(q, t)
         for _ in range(max_iter):
-            y = self.y_matrix(q, t)
-            r_mat = y @ self.h @ y
+            r_mat = pieces[3]
             w, v = np.linalg.eigh(r_mat)
-            means = [max(0.5 * (w[a] + w[b]), 1e-300) for a, b in pairs]
-            res = []
-            for i, (a, b) in enumerate(pairs):
-                res.extend([(w[a] - w[b]) / means[i],
-                            2.0 * float(v[:, a] @ r_mat @ v[:, b]) / means[i]])
-            res = np.array(res)
-            if np.sum(res * res) < 1e-28:
+            means = np.maximum(0.5 * (w[0::2] + w[1::2]), 1e-300)
+            res = np.empty(2 * self.n)
+            res[0::2] = (w[0::2] - w[1::2]) / means
+            # (v_a^T R) v_b per pair, batched as in jacobian: the same bits
+            off = (v.T[0::2, None, :] @ r_mat) @ v.T[1::2, :, None]
+            res[1::2] = 2.0 * off[:, 0, 0] / means
+            if (res * res).sum() < 1e-28:
                 break
-            jac = self.jacobian(q, t, y, v, means)
+            jac = self.jacobian(q, pieces, v, means)
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
             norm = np.linalg.norm(step)
             if norm > 3.0:
@@ -389,14 +390,28 @@ class _FactorizeProblem:
                     _skew_from_params(scale * step[:ntheta], self.n2))
                 q_new = dq @ q
                 t_new = t + scale * step[ntheta:]
-                val = self.defect_qt(q_new, t_new)
+                val, new_pieces = self.evaluate(q_new, t_new)
                 if val < best:
-                    q, t, best = q_new, t_new, val
+                    q, t, best, pieces = q_new, t_new, val, new_pieces
                     break
                 scale *= 0.5
             else:
                 break
         return q, t, best
+
+
+def _jobs(h_hat: np.ndarray, seed: int):
+    """(q, t) starts in job order: the warm starts, then N_PROBES random
+    starts. Probe k, counting the warm starts before it, draws from
+    default_rng([seed, k]), so each result is a pure function of
+    (inputs, seed, k)."""
+    k = 0
+    for k, start in enumerate(_warm_starts(h_hat), 1):
+        yield start
+    n2 = h_hat.shape[0]
+    for k in range(k, k + N_PROBES):
+        rng = np.random.default_rng([seed, k])
+        yield haar_orthogonal(n2, rng), rng.normal(scale=1.0, size=n2 // 2)
 
 
 def pair_factorize(g: Metric, h: Metric, seed: int = 0) -> Metric:
@@ -421,21 +436,13 @@ def pair_factorize(g: Metric, h: Metric, seed: int = 0) -> Metric:
     scale = float(np.exp(logdet / n2))
     h_hat = h_t / scale
     problem = _FactorizeProblem(h_hat)
-    starts = _warm_starts(h_hat)
 
     success_defect = 1e-26
 
     # The first job reaching full convergence wins, else the smallest
     # (defect, index): the strict < keeps the lower index on ties.
     best = None
-    for k in range(len(starts) + N_PROBES):
-        if k < len(starts):
-            q0, t0 = starts[k]
-        else:
-            # a per-job rng keeps each result a pure function of (inputs, seed, k)
-            rng = np.random.default_rng([seed, k])
-            q0 = haar_orthogonal(n2, rng)
-            t0 = rng.normal(scale=1.0, size=problem.n)
+    for q0, t0 in _jobs(h_hat, seed):
         res = problem.polish(q0, t0)
         if res[2] <= success_defect:
             best = res

@@ -59,13 +59,14 @@ def _number(x, what: str = "a finite number") -> float:
     raise ValueError(f"must be {what}, got {x!r}")
 
 
-def _integer(lo: int, hi: float = math.inf):
+def _integer(lo: float = -math.inf, hi: float = math.inf):
     """Reader of an integer in lo..hi, never a bool."""
     def read(x) -> int:
         if type(x) is int and lo <= x <= hi:
             return x
-        span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
-        raise ValueError(f"must be an integer {span}, got {x!r}")
+        span = (f" in {lo}..{hi}" if hi != math.inf
+                else f" >= {lo}" if lo != -math.inf else "")
+        raise ValueError(f"must be an integer{span}, got {x!r}")
     return read
 
 
@@ -144,8 +145,11 @@ def parse_complex(doc, name: str, ndim: int) -> np.ndarray:
 
 
 def _document(doc, kind: str) -> dict:
+    """doc, which must be a JSON object whose `seed`, if any, is an integer."""
     if not isinstance(doc, dict):
         raise ValueError(f"the {kind} document must be a JSON object")
+    if "seed" in doc:
+        _read(doc, "seed", kind, 0, _integer())
     return doc
 
 
@@ -166,9 +170,12 @@ def encode_torus(t: MarkedTorus) -> dict:
 
 def decode_torus(doc: dict) -> MarkedTorus:
     """MarkedTorus from its document: a backend and n x 2n periods, of
-    numbers for f64 and of "p/q" strings or numbers for rational."""
+    numbers for f64 and of "p/q" strings or numbers for rational. A `cond`,
+    if any, must be a finite number; it is recomputed, not kept."""
     _field(_document(doc, "torus"), "backend", "torus")
     n = _read(doc, "n", "torus", 0, _integer(1))
+    if "cond" in doc:
+        _read(doc, "cond", "torus", 0, _number)
     if _is_rational(doc, "torus"):
         t = make_torus(np.array(_read(doc, "periods", "torus", 2, lambda x: exact.QI(
             *_pair(x, _fraction))), dtype=object))
@@ -394,7 +401,9 @@ _DECODERS = {
 
 
 def decode(doc: dict):
-    kind = _document(doc, "toruskit").get("type")
+    if not isinstance(doc, dict):
+        raise ValueError("the toruskit document must be a JSON object")
+    kind = doc.get("type")
     if kind not in _DECODERS:
         raise ValueError(f"unknown or missing document type: {kind!r}")
     return _DECODERS[kind](doc)

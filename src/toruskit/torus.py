@@ -159,8 +159,11 @@ class Metric:
         return self.g.shape[0]
 
     def sqrt_inv(self) -> np.ndarray:
-        w, q = np.linalg.eigh(self.g)
-        return (q / np.sqrt(w)) @ q.T
+        """g^{-1/2}, computed on first use and kept, read-only, on the metric."""
+        if "_sqrt_inv" not in self.__dict__:
+            w, q = np.linalg.eigh(self.g)
+            object.__setattr__(self, "_sqrt_inv", _freeze((q / np.sqrt(w)) @ q.T))
+        return self._sqrt_inv
 
 
 def identity_metric(two_n: int) -> Metric:

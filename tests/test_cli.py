@@ -750,9 +750,11 @@ def test_hodge_type_checks_dim_before_building_coefficients(tmp_path, t0_file,
 _FUZZ_KINDS = ("torus", "torus-rational", "metric", "structure",
                "structure-rational", "multivector", "chain", "ext_class",
                "fourier_form", "vector")
-# top-level keys the fuzz leaves alone: "type" picks the decoder, "backend"
-# is a string, and no decoder reads "seed" or "cond"
-_UNREAD = {"type", "backend", "seed", "cond"}
+# top-level keys the fuzz leaves alone: "type" picks the decoder and
+# "backend" is a string
+_UNREAD = {"type", "backend"}
+# keys a document may leave out, so the fuzz does not drop them
+_OPTIONAL = {"value_shape", "seed", "cond"}
 _DROP = object()
 
 
@@ -779,6 +781,8 @@ def _fuzz_setup(tmp_path):
         "fourier_form": _fourier_doc(),
         "vector": [[1.0, 0], [0, 1], [0, 0]],
     }
+    for kind in _FUZZ_KINDS[:-1]:  # as the CLI writes them, with the seed used
+        docs[kind]["seed"] = 5
     i = write(tmp_path, "i.json", docs["structure"])
     j = write(tmp_path, "j.json", serialize.encode_structure(b.structure()))
     gp = write(tmp_path, "g.json", docs["metric"])
@@ -832,7 +836,7 @@ def _fuzz_cases(kind, doc):
                     missing = f"{_entry_name(kind, path)} key {key!r} is missing"
                     if key == "j_exact":
                         missing = "'j_exact' must be present exactly"
-                    if key != "value_shape" and path != ("forms",):  # optional
+                    if key not in _OPTIONAL and path != ("forms",):
                         cases.append((path + (key,), _DROP, missing))
                     visit(v, path + (key,))
         elif isinstance(x, list):
@@ -866,7 +870,7 @@ def test_fuzz_every_decoder_names_the_entry(tmp_path):
     import contextlib
     import io
 
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
     docs, argv = _fuzz_setup(tmp_path)
     cases = {kind: _fuzz_cases(kind, docs[kind]) for kind in _FUZZ_KINDS}
@@ -875,6 +879,9 @@ def test_fuzz_every_decoder_names_the_entry(tmp_path):
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.sampled_from(_FUZZ_KINDS).flatmap(
         lambda kind: st.tuples(st.just(kind), st.sampled_from(cases[kind]))))
+    @example(("torus", (("seed",), "5.0", "torus seed must be")))
+    @example(("structure", (("seed",), True, "structure seed must be")))
+    @example(("torus", (("cond",), [1.5], "torus cond must be")))
     def check(case):
         kind, (where, value, message) = case
         doc = _mutate(docs[kind], where, value)

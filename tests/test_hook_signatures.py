@@ -1,8 +1,11 @@
-"""Parameters that the benchmark's span hooks (perfbench/tracer.py) read.
+"""Parameters that the benchmark's span hooks (perfbench/tracer.py) read
+and that its workloads pass by position.
 
 The hooks take arguments by position or by name: pq_projectors' exact_mode
 splits hodge.pq_projectors.exact_s from float_s, lll_reduce's basis gives
-the row count, and common_metric's (i, j) re-check its answer at HOP_TOL. A
+the row count, and common_metric's (i, j) re-check its answer at HOP_TOL.
+The chain workload also calls pair_factorize(g, h) by position to screen its
+pairs, and the tracer wraps that call inside connect's span. A
 renamed or moved parameter would leave a hook reading its default, and a
 per-layer number would silently read 0, so the signatures are pinned here.
 """
@@ -29,6 +32,10 @@ def test_lll_reduce_takes_basis_first():
 def test_common_metric_takes_i_j_first():
     assert params(moduli.common_metric)[:2] == ["i", "j"]
     assert isinstance(moduli.HOP_TOL, float)
+
+
+def test_pair_factorize_takes_g_h_seed():
+    assert params(moduli.pair_factorize) == ["g", "h", "seed"]
 
 
 def test_exact_projectors_are_asked_for_visibly(monkeypatch):

@@ -391,17 +391,18 @@ def _jacobian_loop(problem, q, t, y, v, means):
 
 def _assert_jacobian_matches_loop(problem, q, t):
     # the frame polish linearizes at
-    y = problem.y_matrix(q, t)
-    w, v = np.linalg.eigh(y @ problem.h @ y)
-    means = [max(0.5 * (w[a] + w[a + 1]), 1e-300) for a in range(0, problem.n2, 2)]
-    jac = problem.jacobian(q, t, y, v, means)
+    _, pieces = problem.evaluate(q, t)
+    y = pieces[1]
+    w, v = np.linalg.eigh(pieces[3])
+    means = np.maximum(0.5 * (w[0::2] + w[1::2]), 1e-300)
+    jac = problem.jacobian(q, pieces, v, means)
     assert jac.tobytes() == _jacobian_loop(problem, q, t, y, v, means).tobytes()
 
 
 def _criterion6_problem(seed):
     h = random_spd(6, np.random.default_rng([6100, seed]), cond=100.0)
     h_hat = h / np.exp(np.linalg.slogdet(h)[1] / 6)
-    return _FactorizeProblem(h_hat), _warm_starts(h_hat)
+    return _FactorizeProblem(h_hat), list(_warm_starts(h_hat))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
@@ -465,3 +466,68 @@ def test_failed_factorization_golden_bytes(idm6, name):
         tk.pair_factorize(idm6, h, seed=seed)
     payload = err.value.best.g.tobytes() + repr(err.value.defect).encode()
     assert hashlib.sha256(payload).hexdigest() == FAILED_FACTORIZATION_GOLDEN[name]
+
+
+def _criterion6_target(seed):
+    return tk.Metric(random_spd(6, np.random.default_rng([6100, seed]), cond=100.0))
+
+
+# sha256 over pair_factorize(identity_metric(6), h_s, seed=s).g.tobytes() for
+# the criterion-6 targets s in 0..29 that factor, recorded before the polish
+# reused its evaluations. The winning jobs cover every kind of start: a closed
+# form (job 0 wins s = 0, job 1 wins s = 1), a cycle arrangement (job 3 wins
+# s = 2, job 11 wins s = 23) and a random probe (job 15, the first, wins s = 24).
+SUCCESS_GOLDEN = "dc659fa0520dec98c1d8d0e44cb2e58be9af4ae933d19a1b395ccb74e135bc97"
+
+
+def test_successful_factorization_golden_bytes(idm6):
+    import hashlib
+    digest = hashlib.sha256()
+    failed = []
+    for s in range(30):
+        try:
+            digest.update(tk.pair_factorize(idm6, _criterion6_target(s), seed=s).g.tobytes())
+        except tk.FactorizationFailed:
+            failed.append(s)
+    assert failed == [7, 10, 13, 25]
+    assert digest.hexdigest() == SUCCESS_GOLDEN
+
+
+@pytest.mark.parametrize("seed, evals, polishes", [(0, 8, 1), (7, 4026, 47)])
+def test_factorization_work_is_pinned(monkeypatch, idm6, seed, evals, polishes):
+    # defect evaluations and polishes per pair_factorize, counted before the
+    # polish reused its evaluations: a faster search must not do less work
+    from toruskit import moduli
+    problems = []
+
+    class Counting(moduli._FactorizeProblem):
+        def __init__(self, h_hat):
+            super().__init__(h_hat)
+            self.polishes = 0
+            problems.append(self)
+
+        def polish(self, q, t, max_iter=60):
+            self.polishes += 1
+            return super().polish(q, t, max_iter)
+
+    monkeypatch.setattr(moduli, "_FactorizeProblem", Counting)
+    try:
+        tk.pair_factorize(idm6, _criterion6_target(seed), seed=seed)
+    except tk.FactorizationFailed:
+        pass
+    assert [(p.evals, p.polishes) for p in problems] == [(evals, polishes)]
+
+
+@pytest.mark.parametrize("target", ["criterion6_seed0", "diagonal"])
+def test_closed_form_winner_builds_no_cycle_starts(monkeypatch, idm6, target):
+    # job 0 wins both targets, so the cycle arrangements are never asked for
+    from toruskit import moduli
+
+    def forbidden(wv, qv):
+        raise AssertionError("cycle arrangements built for a closed-form win")
+
+    monkeypatch.setattr(moduli, "_cycle_arrangement_starts", forbidden)
+    h = (_criterion6_target(0) if target == "criterion6_seed0"
+         else tk.Metric(np.diag([1.0, 2, 4, 4, 2, 1])))
+    g1 = tk.pair_factorize(idm6, h)
+    assert pair_defect(g1, h) < 1e-10

@@ -168,3 +168,12 @@ def test_structure_validation_rejects_large_norm_perturbed():
 def test_metric_validation():
     with pytest.raises(ValueError):
         tk.Metric(np.diag([1.0, -1, 1, 1, 1, 1]))
+
+
+def test_metric_sqrt_inv_is_kept_read_only():
+    g = tk.Metric(random_spd(6, np.random.default_rng(4), cond=50.0))
+    w = g.sqrt_inv()
+    assert g.sqrt_inv() is w and not w.flags.writeable
+    lam, q = np.linalg.eigh(g.g)
+    assert w.tobytes() == ((q / np.sqrt(lam)) @ q.T).tobytes()
+    assert np.abs(w @ g.g @ w - np.eye(6)).max() < 1e-12
