@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ChainNotFound, FactorizationFailed, NotPaired
 from .linalg import frob, haar_orthogonal, min_eig_sym, rel_residual
@@ -167,7 +166,7 @@ CYCLE_STARTS = 12  # the cap on the cycle-arrangement warm starts
 
 
 def _doubled(vals: np.ndarray) -> np.ndarray:
-    return np.repeat(vals, 2)
+    return np.repeat(vals, 2, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -197,6 +196,24 @@ def _skew_generators(n2: int) -> np.ndarray:
     return gens
 
 
+# The polish's backtracking scales of a Gauss-Newton step: 1, 1/2, ..., 1/2^11.
+BACKTRACK_SCALES = 0.5 ** np.arange(12)
+
+
+def _rotation_ladder(k: np.ndarray) -> np.ndarray:
+    """exp(s K) of a real skew K for every s in BACKTRACK_SCALES, as one stack.
+
+    iK is Hermitian, so one eigh gives iK = V diag(mu) V^H with V unitary,
+    and exp(s K) = V diag(exp(-i s mu)) V^H for every s at once: the
+    eigenvector method, which is stable for a normal matrix (Moler and
+    Van Loan, "Nineteen dubious ways to compute the exponential of a
+    matrix", SIAM Review 2003). The imaginary part is rounding and dropped.
+    """
+    mu, v = np.linalg.eigh(1j * k)
+    phases = np.exp(-1j * np.multiply.outer(BACKTRACK_SCALES, mu))
+    return ((v * phases[:, None, :]) @ v.conj().T).real
+
+
 def _cyclic_chain(d: np.ndarray):
     """Closed-form interleaved-pairing solve for a diagonal target.
 
@@ -217,9 +234,9 @@ def _cyclic_chain(d: np.ndarray):
     return alpha, beta, abs(np.log(beta[n - 1]))
 
 
-def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray) -> list:
+def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray):
     """At most CYCLE_STARTS warm starts from eigenvalue arrangements around
-    the pairing cycle.
+    the pairing cycle, each yielded as soon as it is solved.
 
     wv, qv is the eigendecomposition of the target. The interleaved matchings
     close exactly when a 3-subset of eigenvalues balances the alternating
@@ -244,7 +261,7 @@ def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray) -> list:
         a[2 * k, n + k] += 1
         a[2 * k + 1, (k + 1) % n] += 1
         a[2 * k + 1, n + k] += 1
-    starts = []
+    built = 0
     for eps, sub, rest in cands:
         for perm in islice(permutations(rest), max(1, CYCLE_STARTS // len(cands) + 1)):
             order = []
@@ -253,10 +270,10 @@ def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray) -> list:
                 order.append(perm[k])
             d = wv[list(order)]
             sol, *_ = np.linalg.lstsq(a, np.log(d), rcond=None)
-            starts.append((qv[:, list(order)], -0.5 * sol[:n]))
-            if len(starts) >= CYCLE_STARTS:
-                return starts
-    return starts
+            yield qv[:, list(order)], -0.5 * sol[:n]
+            built += 1
+            if built >= CYCLE_STARTS:
+                return
 
 
 def _warm_starts(h_hat: np.ndarray):
@@ -302,27 +319,29 @@ class _FactorizeProblem:
     def evaluate(self, q: np.ndarray, t: np.ndarray):
         """Relative pair-gap defect (internal objective) at (q, t), and the
         pieces it is built from: the doubled exp(t), Y, Y @ H and
-        R = (Y @ H) @ Y, which polish and jacobian reuse."""
-        self.evals += 1
+        R = (Y @ H) @ Y, which polish and jacobian reuse.
+
+        Takes one point, or a stack of them (q of shape (k, n2, n2), t of
+        shape (k, n)), and returns the defects and pieces stacked alike. The
+        products and eigvalsh run slice by slice, so a point in a stack gets
+        the bits it gets alone. A point whose R is not finite has defect inf.
+        """
         with np.errstate(over="ignore", invalid="ignore"):
             # det-1 gauge: the overall scale of Y is invisible to relative
             # gaps. sum / size and maximum/minimum give np.mean's and
             # np.clip's bits without their wrapper cost.
-            t = t - t.sum() / t.size
+            t = t - t.sum(axis=-1, keepdims=True) / t.shape[-1]
             d_exp = _doubled(np.exp(np.minimum(np.maximum(t, -40.0), 40.0)))
-            y = (q * d_exp) @ q.T
+            y = (q * d_exp[..., None, :]) @ np.swapaxes(q, -1, -2)
             yh = y @ self.h
             r_mat = yh @ y
-            pieces = d_exp, y, yh, r_mat
-            try:
-                w = np.linalg.eigvalsh(r_mat)
-            except np.linalg.LinAlgError:
-                return np.inf, pieces
-            if not np.isfinite(w).all():
-                return np.inf, pieces
-            means = np.maximum(0.5 * (w[1::2] + w[0::2]), 1e-300)
-            gaps = (w[1::2] - w[0::2]) / means
-            return float((gaps * gaps).sum()), pieces
+            # a non-finite slice would make eigvalsh raise for the whole stack
+            finite = np.isfinite(r_mat).all(axis=(-2, -1))
+            w = np.linalg.eigvalsh(np.where(finite[..., None, None], r_mat, 0.0))
+            means = np.maximum(0.5 * (w[..., 1::2] + w[..., 0::2]), 1e-300)
+            gaps = (w[..., 1::2] - w[..., 0::2]) / means
+            ok = finite & np.isfinite(w).all(axis=-1)
+            return np.where(ok, (gaps * gaps).sum(axis=-1), np.inf), (d_exp, y, yh, r_mat)
 
     def jacobian(self, q: np.ndarray, pieces, v: np.ndarray,
                  means: np.ndarray) -> np.ndarray:
@@ -368,6 +387,8 @@ class _FactorizeProblem:
         """
         ntheta = self.n2 * (self.n2 - 1) // 2
         best, pieces = self.evaluate(q, t)
+        best = float(best)
+        self.evals += 1
         for _ in range(max_iter):
             r_mat = pieces[3]
             w, v = np.linalg.eigh(r_mat)
@@ -384,19 +405,25 @@ class _FactorizeProblem:
             norm = np.linalg.norm(step)
             if norm > 3.0:
                 step *= 3.0 / norm
-            scale = 1.0
-            for _bt in range(12):
-                dq = scipy.linalg.expm(
-                    _skew_from_params(scale * step[:ntheta], self.n2))
-                q_new = dq @ q
-                t_new = t + scale * step[ntheta:]
-                val, new_pieces = self.evaluate(q_new, t_new)
-                if val < best:
-                    q, t, best, pieces = q_new, t_new, val, new_pieces
+            # Backtracking: the first point below best along the halving
+            # scales. The full step is accepted most of the time, so it is
+            # evaluated alone, and the shorter steps as one stack after it
+            # fails. evals counts the points a one-at-a-time search examines.
+            qs = _rotation_ladder(_skew_from_params(step[:ntheta], self.n2)) @ q
+            ts = t + BACKTRACK_SCALES[:, None] * step[ntheta:]
+            val, new_pieces = self.evaluate(qs[0], ts[0])
+            self.evals += 1
+            k = 0
+            if not val < best:
+                vals, stack = self.evaluate(qs[1:], ts[1:])
+                below = np.flatnonzero(vals < best)
+                if len(below) == 0:
+                    self.evals += len(vals)
                     break
-                scale *= 0.5
-            else:
-                break
+                k = int(below[0]) + 1
+                self.evals += k
+                val, new_pieces = vals[k - 1], tuple(p[k - 1] for p in stack)
+            q, t, best, pieces = qs[k], ts[k], float(val), new_pieces
         return q, t, best
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import exact
 from .errors import DegenerateLattice, IllConditioned, NotCompatible
@@ -149,20 +148,21 @@ class Metric:
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
         g = 0.5 * (g + g.T)
-        w = np.linalg.eigvalsh(g)
+        # Positive definiteness is read off the eigh that gives g^{-1/2}:
+        # eigvalsh can round the smallest eigenvalue above 0 where eigh
+        # rounds it to 0 or below, which would leave sqrt_inv non-finite.
+        w, q = np.linalg.eigh(g)
         if w[0] <= 0:
             raise ValueError(f"metric is not positive definite (min eig {w[0]:.3e})")
         object.__setattr__(self, "g", _freeze(g))
+        object.__setattr__(self, "_sqrt_inv", _freeze((q / np.sqrt(w)) @ q.T))
 
     @property
     def dim(self) -> int:
         return self.g.shape[0]
 
     def sqrt_inv(self) -> np.ndarray:
-        """g^{-1/2}, computed on first use and kept, read-only, on the metric."""
-        if "_sqrt_inv" not in self.__dict__:
-            w, q = np.linalg.eigh(self.g)
-            object.__setattr__(self, "_sqrt_inv", _freeze((q / np.sqrt(w)) @ q.T))
+        """g^{-1/2}, read-only, from the eigh that checked g."""
         return self._sqrt_inv
 
 
@@ -265,6 +265,8 @@ def frame_from_structure(j: ComplexStructure, metric: Metric) -> IsotropicFrame:
     Returns unitary columns (pivoted QR of the eigenprojector), from the float
     J also for a rational structure.
     """
+    # the package's only scipy call, imported here so that only frames load scipy
+    import scipy.linalg
     res = j.compatibility_residual(metric)
     if res > DEFAULT_TOL:
         raise NotCompatible(f"J^T g J != g (relative residual {res:.3e})")

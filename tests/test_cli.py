@@ -266,12 +266,11 @@ def test_connect_cli(tmp_path, capsys):
 
 
 # sha256 of `toruskit connect` stdout for (general_position_pair seed,
-# --seed), recorded with a factorizer that also ran Nelder-Mead restarts after
-# the probes: the single search must give the same bytes. The first
+# --seed), recorded with the eigh rotation ladder in the polish. The first
 # factorization of (100, 100) fails, so its chain comes from a retry.
 CONNECT_GOLDEN = {
-    (3, 7): "7c2a46e85c13ca14eddc98c34970f867a8e7e7f6f1ff38a4b1445562ec9ed36f",
-    (100, 100): "a1c7ca0fb77e9c8de793db879fda7903f735969438d0ec86a30922d40fec03c5",
+    (3, 7): "ce36312f75925f7542239911079617496659c03c9fb374de7dc45ff87eb2c377",
+    (100, 100): "490e427ab3ebaf5d60bce92d338fe6180755dadaecfe5ff85bf492182f88d580",
 }
 
 

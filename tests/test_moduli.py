@@ -3,8 +3,9 @@ import pytest
 
 import toruskit as tk
 from toruskit.linalg import haar_orthogonal, random_spd
-from toruskit.moduli import (_cyclic_chain, _FactorizeProblem, _skew_from_params,
-                             _warm_starts, compatible_metric,
+from toruskit.moduli import (BACKTRACK_SCALES, _cycle_arrangement_starts,
+                             _cyclic_chain, _FactorizeProblem, _rotation_ladder,
+                             _skew_from_params, _warm_starts, compatible_metric,
                              invariant_metric_subspace, pair_defect)
 
 from conftest import general_position_pair
@@ -218,11 +219,34 @@ S34_H = np.array([
 ])
 
 
-def test_pair_factorize_indefinite_candidate_fails_cleanly():
-    with pytest.raises(tk.FactorizationFailed) as err:
+def test_pair_factorize_indefinite_candidate_fails_cleanly(monkeypatch):
+    # The S34 pair once led the search to an indefinite best candidate; its
+    # trajectory has since moved, so it only checks that nothing but
+    # FactorizationFailed escapes.
+    with pytest.raises(tk.FactorizationFailed):
         tk.pair_factorize(tk.Metric(S34_G), tk.Metric(S34_H), seed=2702703890)
-    assert "not positive definite" in str(err.value)
-    assert err.value.best is None and err.value.defect is None
+    # A polish that ends at t = (-a, 0, a), a in [8, 10], in a Haar frame leaves
+    # X with condition number e^(4a) or more: the conjugation rounds some of
+    # these indefinite and some to a tiny positive eigenvalue. Either way only
+    # FactorizationFailed may escape, and a reported best must be checkable.
+    from toruskit import moduli
+    indefinite = 0
+    for s in range(40):
+        rng = np.random.default_rng([4100, s])
+        q = haar_orthogonal(6, rng)
+        a = rng.uniform(8.0, 10.0)
+        t = np.array([-a, 0.0, a])
+        monkeypatch.setattr(moduli._FactorizeProblem, "polish",
+                            lambda self, q0, t0, max_iter=60: (q, t, 1.0))
+        with pytest.raises(tk.FactorizationFailed) as err:
+            tk.pair_factorize(tk.identity_metric(6), tk.identity_metric(6))
+        if err.value.best is None:
+            assert "not positive definite" in str(err.value)
+            assert err.value.defect is None
+            indefinite += 1
+        else:
+            assert np.isfinite(err.value.best.sqrt_inv()).all()
+    assert indefinite > 0
 
 
 def test_connect_first_factorization_seed(monkeypatch):
@@ -328,27 +352,49 @@ def test_compatible_metric_invariance(idm6):
         assert j.compatibility_residual(g) < 1e-12
 
 
-def test_import_defers_scipy_optimize():
-    # The factorizer does not use scipy.optimize: neither a plain import of
-    # the package nor a failing pair_factorize may load it.
+def test_import_defers_scipy_optimize(tmp_path):
+    # The moduli path runs on numpy alone: importing the package, a connect,
+    # a failing pair_factorize and `toruskit connect` load neither
+    # scipy.optimize nor scipy.linalg. frame_from_structure, the one scipy
+    # call left, imports scipy.linalg when it runs.
     import os
     import subprocess
     import sys
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "\n".join([
-        "import sys, numpy as np, toruskit as tk",
+        "import json, sys, numpy as np, toruskit as tk",
+        "from toruskit import cli, serialize",
         "from toruskit.linalg import random_spd",
-        "print('scipy.optimize' in sys.modules)",
+        "def loaded(): return ['scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules]",
+        "print('import', *loaded())",
+        "rng = np.random.default_rng(3)",
+        "i, j = (tk.random_structure(tk.Metric(random_spd(6, rng, cond=10.0)), rng)",
+        "        for _ in range(2))",
+        "assert tk.verify_chain(tk.connect(i, j)).ok",
+        "print('connect', *loaded())",
         "h = tk.Metric(random_spd(6, np.random.default_rng([6100, 25]), cond=100.0))",
         "try:",
         "    tk.pair_factorize(tk.identity_metric(6), h)",
         "except tk.FactorizationFailed:",
-        "    print('failed', 'scipy.optimize' in sys.modules)",
+        "    print('failed', *loaded())",
+        "paths = []",
+        "for name, s in (('i', i), ('j', j)):",
+        "    paths.append(sys.argv[1] + '/' + name + '.json')",
+        "    with open(paths[-1], 'w') as f:",
+        "        json.dump(serialize.encode_structure(s), f)",
+        "out = sys.argv[1] + '/chain.json'",
+        "code = cli.main(['connect', '--i', paths[0], '--j', paths[1], '--out', out])",
+        "print('cli', code, *loaded())",
+        "frame = tk.frame_from_structure(i, tk.common_metric(i, i))",
+        "print('frame', frame.n, 'scipy.linalg' in sys.modules)",
     ])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.split() == ["False", "failed", "False"]
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert out.split() == ["import", "False", "False", "connect", "False", "False",
+                           "failed", "False", "False", "cli", "0", "False", "False",
+                           "frame", "3", "True"]
 
 
 def _skew_from_params_loop(theta, n2):
@@ -435,12 +481,63 @@ def test_skew_from_params_matches_loop():
         assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
+def test_rotation_ladder_matches_expm():
+    # every rung of the ladder against scipy's expm, for skew steps up to
+    # polish's clamp (parameter norm 3)
+    import scipy.linalg
+    rng = np.random.default_rng(19)
+    for norm in (1e-8, 0.1, 1.0, 2.0, 3.0, 3.0, 3.0):
+        theta = rng.standard_normal(15)
+        k = _skew_from_params(norm * theta / np.linalg.norm(theta), 6)
+        ladder = _rotation_ladder(k)
+        assert ladder.shape == (12, 6, 6)
+        for rot, scale in zip(ladder, BACKTRACK_SCALES):
+            assert np.abs(rot - scipy.linalg.expm(scale * k)).max() <= 1e-14
+            assert np.abs(rot.T @ rot - np.eye(6)).max() <= 1e-14
+
+
+def test_stacked_evaluate_matches_one_at_a_time():
+    # polish evaluates the shorter backtracking steps as one stack: each point
+    # must get the bits it gets alone, and a non-finite point must read inf
+    # without spoiling the others
+    problem, _ = _criterion6_problem(7)
+    rng = np.random.default_rng(5)
+    qs = np.stack([haar_orthogonal(6, rng) for _ in range(11)])
+    ts = rng.normal(scale=3.0, size=(11, 3))
+    qs[4, 2, 3] = np.nan
+    vals, stack = problem.evaluate(qs, ts)
+    for k in range(11):
+        val, pieces = problem.evaluate(qs[k], ts[k])
+        assert vals[k].tobytes() == val.tobytes()
+        for a, b in zip(stack, pieces):
+            assert a[k].tobytes() == b.tobytes()
+    assert vals[4] == np.inf and np.isfinite(np.delete(vals, 4)).all()
+
+
+def test_cycle_arrangement_starts_are_built_one_at_a_time(monkeypatch):
+    from toruskit import moduli
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    problem, _ = _criterion6_problem(2)
+    wv, qv = np.linalg.eigh(problem.h)
+    monkeypatch.setattr(moduli.np.linalg, "lstsq", counting)
+    starts = _cycle_arrangement_starts(wv, qv)
+    assert calls == []
+    next(starts)
+    assert len(calls) == 1
+    assert len(list(starts)) == moduli.CYCLE_STARTS - 1
+
+
 # sha256 of best.g.tobytes() + repr(defect) of a failed factorization,
-# recorded with the column-at-a-time Jacobian; the batched one must give the
-# same bytes.
+# recorded with the eigh rotation ladder in the polish.
 FAILED_FACTORIZATION_GOLDEN = {
-    "criterion6_seed7": "93eafc4f2d1c5c28ba7bfdc63192de66184869f897141a5b7420ed7b1fc01479",
-    "weyl_infeasible": "d50ab59fafbf7a04346b79e3b0e367c57eac30d24875859ce6ebcd580f429e86",
+    "criterion6_seed7": "f5a16b35c8b7fe3343c55b5010ce671bd3759f4935e8e38dd391a0f02395bbbc",
+    "weyl_infeasible": "95800e0984641cbcc9cd77dce43d163b28c9dd8a2fe0994f8c3fd6729e610192",
 }
 
 
@@ -473,11 +570,12 @@ def _criterion6_target(seed):
 
 
 # sha256 over pair_factorize(identity_metric(6), h_s, seed=s).g.tobytes() for
-# the criterion-6 targets s in 0..29 that factor, recorded before the polish
-# reused its evaluations. The winning jobs cover every kind of start: a closed
-# form (job 0 wins s = 0, job 1 wins s = 1), a cycle arrangement (job 3 wins
-# s = 2, job 11 wins s = 23) and a random probe (job 15, the first, wins s = 24).
-SUCCESS_GOLDEN = "dc659fa0520dec98c1d8d0e44cb2e58be9af4ae933d19a1b395ccb74e135bc97"
+# the criterion-6 targets s in 0..29 that factor, recorded with the eigh
+# rotation ladder in the polish. The winning jobs cover every kind of start: a
+# closed form (job 0 wins s = 0, job 1 wins s = 1), a cycle arrangement (job 3
+# wins s = 2, job 11 wins s = 23) and a random probe (job 15, the first, wins
+# s = 24).
+SUCCESS_GOLDEN = "7979c878e647ef91e63fbc272eacdfbc472388f6a10187d23cc5355804be6799"
 
 
 def test_successful_factorization_golden_bytes(idm6):
@@ -493,10 +591,11 @@ def test_successful_factorization_golden_bytes(idm6):
     assert digest.hexdigest() == SUCCESS_GOLDEN
 
 
-@pytest.mark.parametrize("seed, evals, polishes", [(0, 8, 1), (7, 4026, 47)])
+@pytest.mark.parametrize("seed, evals, polishes", [(0, 8, 1), (7, 3981, 47)])
 def test_factorization_work_is_pinned(monkeypatch, idm6, seed, evals, polishes):
-    # defect evaluations and polishes per pair_factorize, counted before the
-    # polish reused its evaluations: a faster search must not do less work
+    # defect evaluations and polishes per pair_factorize; evals counts the
+    # points a one-at-a-time backtracking search examines, also where polish
+    # evaluates the shorter steps as one stack
     from toruskit import moduli
     problems = []
 

@@ -170,6 +170,26 @@ def test_metric_validation():
         tk.Metric(np.diag([1.0, -1, 1, 1, 1, 1]))
 
 
+def test_near_singular_metric_rejects_or_has_finite_sqrt_inv():
+    # Q diag(delta, e^N(0,1), ...) Q^T with delta far below the rounding of
+    # the other eigenvalues: a metric that is accepted must have a finite
+    # g^{-1/2}, or every ratio built from it is NaN
+    from toruskit.linalg import haar_orthogonal
+    accepted = 0
+    for s in range(400):
+        rng = np.random.default_rng([77, s])
+        q = haar_orthogonal(6, rng)
+        d = np.exp(rng.normal(size=6))
+        d[0] = 10.0 ** rng.uniform(-20, -14)
+        try:
+            g = tk.Metric((q * d) @ q.T)
+        except ValueError:
+            continue
+        accepted += 1
+        assert np.isfinite(g.sqrt_inv()).all()
+    assert 0 < accepted < 400
+
+
 def test_metric_sqrt_inv_is_kept_read_only():
     g = tk.Metric(random_spd(6, np.random.default_rng(4), cond=50.0))
     w = g.sqrt_inv()
