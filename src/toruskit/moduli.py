@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ChainNotFound, FactorizationFailed, NotPaired
-from .linalg import frob, haar_orthogonal, min_eig_sym, rel_residual
+from .linalg import frob, haar_orthogonal, min_eig_sym, random_spd, rel_residual
 from .torus import ComplexStructure, Metric, identity_metric, random_structure
 
 PAIRED_TOL = 1e-9
@@ -389,41 +389,44 @@ class _FactorizeProblem:
         best, pieces = self.evaluate(q, t)
         best = float(best)
         self.evals += 1
-        for _ in range(max_iter):
-            r_mat = pieces[3]
-            w, v = np.linalg.eigh(r_mat)
-            means = np.maximum(0.5 * (w[0::2] + w[1::2]), 1e-300)
-            res = np.empty(2 * self.n)
-            res[0::2] = (w[0::2] - w[1::2]) / means
-            # (v_a^T R) v_b per pair, batched as in jacobian: the same bits
-            off = (v.T[0::2, None, :] @ r_mat) @ v.T[1::2, :, None]
-            res[1::2] = 2.0 * off[:, 0, 0] / means
-            if (res * res).sum() < 1e-28:
-                break
-            jac = self.jacobian(q, pieces, v, means)
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            norm = np.linalg.norm(step)
-            if norm > 3.0:
-                step *= 3.0 / norm
-            # Backtracking: the first point below best along the halving
-            # scales. The full step is accepted most of the time, so it is
-            # evaluated alone, and the shorter steps as one stack after it
-            # fails. evals counts the points a one-at-a-time search examines.
-            qs = _rotation_ladder(_skew_from_params(step[:ntheta], self.n2)) @ q
-            ts = t + BACKTRACK_SCALES[:, None] * step[ntheta:]
-            val, new_pieces = self.evaluate(qs[0], ts[0])
-            self.evals += 1
-            k = 0
-            if not val < best:
-                vals, stack = self.evaluate(qs[1:], ts[1:])
-                below = np.flatnonzero(vals < best)
-                if len(below) == 0:
-                    self.evals += len(vals)
+        # On an infeasible target the residuals can grow so large that their
+        # squared sum overflows to inf, which reads as not converged.
+        with np.errstate(over="ignore"):
+            for _ in range(max_iter):
+                r_mat = pieces[3]
+                w, v = np.linalg.eigh(r_mat)
+                means = np.maximum(0.5 * (w[0::2] + w[1::2]), 1e-300)
+                res = np.empty(2 * self.n)
+                res[0::2] = (w[0::2] - w[1::2]) / means
+                # (v_a^T R) v_b per pair, batched as in jacobian: the same bits
+                off = (v.T[0::2, None, :] @ r_mat) @ v.T[1::2, :, None]
+                res[1::2] = 2.0 * off[:, 0, 0] / means
+                if (res * res).sum() < 1e-28:
                     break
-                k = int(below[0]) + 1
-                self.evals += k
-                val, new_pieces = vals[k - 1], tuple(p[k - 1] for p in stack)
-            q, t, best, pieces = qs[k], ts[k], float(val), new_pieces
+                jac = self.jacobian(q, pieces, v, means)
+                step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+                norm = np.linalg.norm(step)
+                if norm > 3.0:
+                    step *= 3.0 / norm
+                # Backtracking: the first point below best along the halving
+                # scales. The full step is accepted most of the time, so it is
+                # evaluated alone, and the shorter steps as one stack after it
+                # fails. evals counts the points a one-at-a-time search examines.
+                qs = _rotation_ladder(_skew_from_params(step[:ntheta], self.n2)) @ q
+                ts = t + BACKTRACK_SCALES[:, None] * step[ntheta:]
+                val, new_pieces = self.evaluate(qs[0], ts[0])
+                self.evals += 1
+                k = 0
+                if not val < best:
+                    vals, stack = self.evaluate(qs[1:], ts[1:])
+                    below = np.flatnonzero(vals < best)
+                    if len(below) == 0:
+                        self.evals += len(vals)
+                        break
+                    k = int(below[0]) + 1
+                    self.evals += k
+                    val, new_pieces = vals[k - 1], tuple(p[k - 1] for p in stack)
+                q, t, best, pieces = qs[k], ts[k], float(val), new_pieces
         return q, t, best
 
 
@@ -586,7 +589,6 @@ def compatible_metric(j: ComplexStructure, rng=None) -> Metric:
     if rng is None:
         base = np.eye(n2)
     else:
-        from .linalg import random_spd
         base = random_spd(n2, rng, cond=4.0)
     return Metric(_average(base, j))
 

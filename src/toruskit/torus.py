@@ -28,6 +28,9 @@ _DEGENERATE_RTOL = 1e-12
 # structure_from_frame: the smallest singular value of [conj(B) | B], relative
 # to the largest, below which V^{0,1} counts as meeting its conjugate.
 _CONJUGATE_RTOL = 1e-10
+# frame_from_structure: remaining column norms of the eigenprojector within
+# this relative gap of the largest are a tie, broken towards the lowest index.
+_PIVOT_TIE_RTOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -262,19 +265,26 @@ def frame_from_structure(j: ComplexStructure, metric: Metric) -> IsotropicFrame:
     """Basis of the (-i)-eigenspace of J, g-isotropic for a compatible metric.
 
     Raises NotCompatible when ||J^T g J - g|| / ||g|| exceeds DEFAULT_TOL.
-    Returns unitary columns (pivoted QR of the eigenprojector), from the float
-    J also for a rational structure.
+    Returns unitary columns, from the float J also for a rational structure:
+    the QR factor of n columns of P = (I + iJ)/2, each the column of largest
+    norm once the earlier ones are projected out (LAPACK geqp3's pivoting).
+    Norms within _PIVOT_TIE_RTOL of the largest tie, and the lowest column
+    wins: for a metric-orthogonal J all columns of P have norm 1/sqrt(2), and
+    rounding must not pick the frame.
     """
-    # the package's only scipy call, imported here so that only frames load scipy
-    import scipy.linalg
     res = j.compatibility_residual(metric)
     if res > DEFAULT_TOL:
         raise NotCompatible(f"J^T g J != g (relative residual {res:.3e})")
-    two_n = j.dim
-    n = two_n // 2
-    proj = 0.5 * (np.eye(two_n) + 1j * j.j)
-    q, _, _ = scipy.linalg.qr(proj, pivoting=True)
-    basis = q[:, :n]
+    proj = 0.5 * (np.eye(j.dim) + 1j * j.j)
+    rest = proj
+    order = []
+    for _ in range(j.dim // 2):
+        norms = np.linalg.norm(rest, axis=0)
+        k = int(np.argmax(norms >= (1.0 - _PIVOT_TIE_RTOL) * norms.max()))
+        order.append(k)
+        q = rest[:, k] / norms[k]
+        rest = rest - np.outer(q, q.conj() @ rest)
+    basis, _ = np.linalg.qr(proj[:, order])
     return IsotropicFrame(basis=basis)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import IllConditioned, NotSkew, NotTransversal
 from .linalg import frob
 from .torus import ComplexStructure, IsotropicFrame, Metric, frame_from_structure, \
-    structure_from_frame
+    random_structure, structure_from_frame
 
 TRANSVERSALITY_RTOL = 1e-10
 ISOTROPY_TOL = 1e-10
@@ -190,7 +190,6 @@ def random_transversal_pair(metric: Metric, seed) -> tuple:
     whenever the pair comes out non-transversal.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    from .torus import random_structure
     p1 = twistor_point(random_structure(metric, rng), metric)
     for _ in range(32):
         j2 = random_structure(metric, rng)

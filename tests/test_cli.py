@@ -593,6 +593,81 @@ def test_out_flag(tmp_path, capsys):
     serialize.decode(json.loads(open(target).read()))
 
 
+# Refuses every scipy module: installed first on sys.meta_path, so a package
+# that imported scipy anywhere would fail with ModuleNotFoundError.
+_NO_SCIPY = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ModuleNotFoundError(f'{name} is refused')
+sys.meta_path.insert(0, NoScipy())
+from toruskit import cli
+got = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    got.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps([got, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path, capsys):
+    # The runtime is numpy only: with scipy refused, `import toruskit` and
+    # every subcommand of the benchmark's cli cycle give the exit code and
+    # stdout they give here, where scipy can be imported.
+    import hashlib
+    import subprocess
+    import sys
+    from conftest import general_position_pair
+    from toruskit.bundles import Character, ExtClass, GradedFlatBundle
+    from toruskit.twistor import random_transversal_pair, twistor_point
+    g = tk.identity_metric(6)
+    a, b = random_transversal_pair(g, 4)
+    c = twistor_point(tk.random_structure(g, 9), g)
+    ci, cj = general_position_pair(3)
+    ch = Character.trivial(6)
+    nu = ExtClass(bundle=GradedFlatBundle(blocks=((ch, 1), (ch, 1))),
+                  forms={(1, 0): np.full((3, 1, 1), 0.5 + 0.25j)})
+    f = {name: write(tmp_path, f"{name}.json", doc) for name, doc in {
+        "float": serialize.encode_torus(tk.random_torus(3, 5)),
+        "rational": serialize.encode_torus(tk.make_torus(t0_periods())),
+        "mv": serialize.encode_multivector(tk.MultiVector.basis_element(6, 0, 3)),
+        "ci": serialize.encode_structure(ci), "cj": serialize.encode_structure(cj),
+        "i": serialize.encode_structure(a.structure()),
+        "j": serialize.encode_structure(b.structure()),
+        "l": serialize.encode_structure(c.structure()),
+        "g": serialize.encode_metric(g), "w": [[1.0, 0], [0, 1], [0.5, -0.5]],
+        "ext": serialize.encode_ext_class(nu), "theta": _fourier_doc()}.items()}
+    argvs = [
+        ["sample-torus", "--kind", "structure", "--seed", "3"],
+        ["check-generic", "--in", f["float"], "--seed", "3"],
+        ["check-generic", "--in", f["rational"]],
+        ["hodge-type", "--in", f["mv"], "--torus", f["float"]],
+        ["connect", "--i", f["ci"], "--j", f["cj"], "--seed", "7"],
+        ["section", "--i", f["i"], "--j", f["j"], "--metric", f["g"],
+         "--wi", f["w"], "--wj", f["w"]],
+        ["transport", "--i", f["i"], "--l", f["l"], "--lp", f["j"],
+         "--metric", f["g"], "--t", f["w"]],
+        ["bundle-extend", "--ext", f["ext"], "--i", f["i"], "--j", f["j"],
+         "--l", f["l"], "--metric", f["g"]],
+        ["massey", "--in", f["theta"]],
+        ["curvature-scan", "--count", "20", "--seed", "3"],
+    ]
+    want = []
+    for argv in argvs:
+        code, out = run(argv, capsys)
+        want.append([code, hashlib.sha256(out.encode()).hexdigest()])
+    assert [code for code, _ in want] == [0, 20, 10, 10, 0, 0, 0, 0, 0, 0]
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout) == [want, []]
+
+
 _DELETE = object()
 
 

@@ -184,6 +184,17 @@ def test_pair_factorize_failure_reports_best(idm6):
     assert err.value.defect > 1e-10
 
 
+@pytest.mark.parametrize("key,cond,seed,defect", [
+    ([7700, 100, 122], 100.0, 122, 4.07), ([7700, 1000, 185], 1e3, 185, 1.25)])
+def test_pair_factorize_residual_overflow_fails_cleanly(idm6, key, cond, seed, defect):
+    # the polish's squared residual sum overflows on these infeasible targets;
+    # under the RuntimeWarning-as-error filter that once escaped as a warning
+    h = tk.Metric(random_spd(6, np.random.default_rng(key), cond=cond))
+    with pytest.raises(tk.FactorizationFailed) as err:
+        tk.pair_factorize(idm6, h, seed=seed)
+    assert err.value.defect == pytest.approx(defect, abs=0.005)
+
+
 # The (g, h) of the second 3-hop route of connect(i, j) for
 # i = random_structure(identity_metric(6), 68) and
 # j = random_structure(Metric(diag(exp(default_rng(34).normal(size=6)))), 69):
@@ -353,10 +364,9 @@ def test_compatible_metric_invariance(idm6):
 
 
 def test_import_defers_scipy_optimize(tmp_path):
-    # The moduli path runs on numpy alone: importing the package, a connect,
-    # a failing pair_factorize and `toruskit connect` load neither
-    # scipy.optimize nor scipy.linalg. frame_from_structure, the one scipy
-    # call left, imports scipy.linalg when it runs.
+    # The runtime is numpy alone: importing the package, a connect, a failing
+    # pair_factorize, `toruskit connect` and a frame load neither
+    # scipy.optimize nor scipy.linalg.
     import os
     import subprocess
     import sys
@@ -387,14 +397,14 @@ def test_import_defers_scipy_optimize(tmp_path):
         "code = cli.main(['connect', '--i', paths[0], '--j', paths[1], '--out', out])",
         "print('cli', code, *loaded())",
         "frame = tk.frame_from_structure(i, tk.common_metric(i, i))",
-        "print('frame', frame.n, 'scipy.linalg' in sys.modules)",
+        "print('frame', frame.n, *loaded())",
     ])
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          check=True, capture_output=True, text=True,
                          timeout=120).stdout
     assert out.split() == ["import", "False", "False", "connect", "False", "False",
                            "failed", "False", "False", "cli", "0", "False", "False",
-                           "frame", "3", "True"]
+                           "frame", "3", "False", "False"]
 
 
 def _skew_from_params_loop(theta, n2):

@@ -78,6 +78,67 @@ def test_frame_isotropic_for_paired_metric(j0):
         tk.frame_from_structure(j0, tk.Metric(np.diag([1.0, 2, 3, 4, 5, 6])))
 
 
+def _pivots(j, frame):
+    """The columns of P = (I + iJ)/2 that the frame's QR took, in order: on
+    them the factor B^H P is upper triangular with a real diagonal."""
+    r = frame.basis.conj().T @ (0.5 * (np.eye(j.dim) + 1j * j.j))
+    small = 1e-10 * np.abs(r).max()
+    order = []
+    for k in range(frame.n):
+        found = [c for c in range(j.dim) if c not in order
+                 and np.abs(r[k + 1:, c]).max(initial=0.0) < small
+                 and abs(r[k, c].imag) < small]
+        assert len(found) == 1
+        order.append(found[0])
+    return order
+
+
+def _seeded_structures(metric_of):
+    for n in (2, 3, 4):
+        for s in range(20):
+            rng = np.random.default_rng([5300, n, s])
+            g = metric_of(2 * n, rng)
+            yield g, tk.random_structure(g, rng)
+
+
+def _spd(two_n, rng):
+    return tk.Metric(random_spd(two_n, rng, cond=10.0))
+
+
+def _identity(two_n, rng):
+    return tk.identity_metric(two_n)
+
+
+def test_frame_pivots_match_geqp3_off_ties():
+    # Off ties the greedy largest-remaining-norm pivots are LAPACK geqp3's,
+    # and the frame is scipy's pivoted QR factor.
+    import scipy.linalg
+    for g, j in _seeded_structures(_spd):
+        n = g.dim // 2
+        fr = tk.frame_from_structure(j, g)
+        q, _, piv = scipy.linalg.qr(0.5 * (np.eye(2 * n) + 1j * j.j), pivoting=True)
+        assert _pivots(j, fr) == list(piv[:n])
+        assert np.abs(fr.basis - q[:, :n]).max() <= 1e-12
+
+
+def test_frame_tie_takes_lowest_column_and_ignores_ulps():
+    # For a metric-orthogonal J every column of P has norm 1/sqrt(2), so the
+    # first pivot is a tie: column 0 takes it, and a few ulps of J do not move
+    # any pivot, or the frame beyond rounding.
+    for make in (_identity, _spd):
+        for g, j in _seeded_structures(make):
+            fr = tk.frame_from_structure(j, g)
+            order = _pivots(j, fr)
+            if make is _identity:
+                assert order[0] == 0
+            rng = np.random.default_rng(order)
+            j2 = tk.ComplexStructure(j.j + rng.integers(-4, 5, j.j.shape)
+                                     * np.spacing(j.j))
+            fr2 = tk.frame_from_structure(j2, g)
+            assert _pivots(j2, fr2) == order
+            assert np.abs(fr2.basis - fr.basis).max() <= 1e-12
+
+
 def test_rational_structure_frame_is_float(idm6):
     j = t0_exact().induced_structure()
     fr = tk.frame_from_structure(j, idm6)

@@ -42,6 +42,18 @@ def test_same_component_shares_a_line(idm6):
         assert not tk.transversal(a, b)
 
 
+@pytest.mark.parametrize("cond", [1.0, 10.0, 1e3])
+def test_twistor_point_frame_is_g_isotropic_and_orthonormal(cond):
+    for s in range(20):
+        rng = np.random.default_rng([5400, s])
+        g = tk.Metric(random_spd(6, rng, cond=cond)) if cond > 1 else tk.identity_metric(6)
+        j = tk.random_structure(g, rng)
+        b = twistor_point(j, g).frame.basis
+        assert np.abs(b.T @ g.g @ b).max() < 1e-12 * cond
+        assert np.abs(b.conj().T @ g.g @ b - np.eye(3)).max() < 1e-12 * cond
+        assert np.abs(j.j @ b + 1j * b).max() < 1e-12 * cond
+
+
 def test_conjugate_point_involution_and_sign(idm6):
     p = twistor_point(tk.random_structure(idm6, 3), idm6)
     pp = tk.conjugate_point(tk.conjugate_point(p))
