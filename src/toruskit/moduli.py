@@ -200,18 +200,25 @@ def _skew_generators(n2: int) -> np.ndarray:
 BACKTRACK_SCALES = 0.5 ** np.arange(12)
 
 
-def _rotation_ladder(k: np.ndarray) -> np.ndarray:
-    """exp(s K) of a real skew K for every s in BACKTRACK_SCALES, as one stack.
+def _rotations(mu: np.ndarray, v: np.ndarray, scales) -> np.ndarray:
+    """exp(s K) for a scale s, or a stack of them for an array of scales,
+    from the eigendecomposition iK = V diag(mu) V^H of a real skew K.
 
-    iK is Hermitian, so one eigh gives iK = V diag(mu) V^H with V unitary,
-    and exp(s K) = V diag(exp(-i s mu)) V^H for every s at once: the
-    eigenvector method, which is stable for a normal matrix (Moler and
-    Van Loan, "Nineteen dubious ways to compute the exponential of a
-    matrix", SIAM Review 2003). The imaginary part is rounding and dropped.
+    exp(s K) = V diag(exp(-i s mu)) V^H: the eigenvector method, which is
+    stable for a normal matrix (Moler and Van Loan, "Nineteen dubious ways
+    to compute the exponential of a matrix", SIAM Review 2003). The
+    imaginary part is rounding and dropped. Each rotation gets the same bits
+    alone as in a stack.
     """
+    phases = np.exp(-1j * np.multiply.outer(scales, mu))
+    return ((v * phases[..., None, :]) @ v.conj().T).real
+
+
+def _rotation_ladder(k: np.ndarray) -> np.ndarray:
+    """exp(s K) of a real skew K for every s in BACKTRACK_SCALES, as one stack,
+    from one eigh of the Hermitian iK."""
     mu, v = np.linalg.eigh(1j * k)
-    phases = np.exp(-1j * np.multiply.outer(BACKTRACK_SCALES, mu))
-    return ((v * phases[:, None, :]) @ v.conj().T).real
+    return _rotations(mu, v, BACKTRACK_SCALES)
 
 
 def _cyclic_chain(d: np.ndarray):
@@ -295,6 +302,14 @@ def _warm_starts(h_hat: np.ndarray):
     yield from _cycle_arrangement_starts(wv, qv)
 
 
+def _pair_gap_defect(w: np.ndarray):
+    """Sum of the squared eigenvalue-pair gaps over their pair means, along
+    the last axis of the sorted eigenvalues w."""
+    means = np.maximum(0.5 * (w[..., 1::2] + w[..., 0::2]), 1e-300)
+    gaps = (w[..., 1::2] - w[..., 0::2]) / means
+    return (gaps * gaps).sum(axis=-1)
+
+
 class _FactorizeProblem:
     """Work in the frame where g = Id and h is scale-normalized.
 
@@ -310,6 +325,10 @@ class _FactorizeProblem:
         self.h = h_hat
         self.n2 = h_hat.shape[0]
         self.n = self.n2 // 2
+        self.ntheta = self.n2 * (self.n2 - 1) // 2
+        self.gens = _skew_generators(self.n2)
+        # row k selects the pair k of the doubled exp(t): its scale direction
+        self.pair_sel = np.repeat(np.eye(self.n), 2, axis=1)
         self.evals = 0
 
     def x_matrix(self, q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -321,10 +340,11 @@ class _FactorizeProblem:
         pieces it is built from: the doubled exp(t), Y, Y @ H and
         R = (Y @ H) @ Y, which polish and jacobian reuse.
 
-        Takes one point, or a stack of them (q of shape (k, n2, n2), t of
-        shape (k, n)), and returns the defects and pieces stacked alike. The
-        products and eigvalsh run slice by slice, so a point in a stack gets
-        the bits it gets alone. A point whose R is not finite has defect inf.
+        Takes one point, whose defect comes back as an np.float64, or a stack
+        of them (q of shape (k, n2, n2), t of shape (k, n)), and returns the
+        defects and pieces stacked alike. The products and eigvalsh run slice
+        by slice, so a point in a stack gets the bits it gets alone. A point
+        whose R is not finite has defect inf.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             # det-1 gauge: the overall scale of Y is invisible to relative
@@ -335,13 +355,20 @@ class _FactorizeProblem:
             y = (q * d_exp[..., None, :]) @ np.swapaxes(q, -1, -2)
             yh = y @ self.h
             r_mat = yh @ y
+            pieces = (d_exp, y, yh, r_mat)
+            if q.ndim == 2:
+                # one point, the polish's common case: no mask to carry
+                if not np.isfinite(r_mat).all():
+                    return np.float64(np.inf), pieces
+                w = np.linalg.eigvalsh(r_mat)
+                if not np.isfinite(w).all():
+                    return np.float64(np.inf), pieces
+                return _pair_gap_defect(w), pieces
             # a non-finite slice would make eigvalsh raise for the whole stack
             finite = np.isfinite(r_mat).all(axis=(-2, -1))
             w = np.linalg.eigvalsh(np.where(finite[..., None, None], r_mat, 0.0))
-            means = np.maximum(0.5 * (w[..., 1::2] + w[..., 0::2]), 1e-300)
-            gaps = (w[..., 1::2] - w[..., 0::2]) / means
             ok = finite & np.isfinite(w).all(axis=-1)
-            return np.where(ok, (gaps * gaps).sum(axis=-1), np.inf), (d_exp, y, yh, r_mat)
+            return np.where(ok, _pair_gap_defect(w), np.inf), pieces
 
     def jacobian(self, q: np.ndarray, pieces, v: np.ndarray,
                  means: np.ndarray) -> np.ndarray:
@@ -359,10 +386,8 @@ class _FactorizeProblem:
         differently.
         """
         d_exp, y, yh, _ = pieces
-        gens = _skew_generators(self.n2)
-        # row k selects the pair k of d_exp: the scale direction of pair k
-        sel = np.repeat(np.eye(self.n), 2, axis=1) * d_exp
-        dy = np.concatenate([gens @ y - y @ gens,
+        sel = self.pair_sel * d_exp
+        dy = np.concatenate([self.gens @ y - y @ self.gens,
                              (q * sel[:, None, :]) @ q.T])
         dr = dy @ self.h @ y + yh @ dy
         cols = v.T[:, None, :, None]
@@ -385,7 +410,7 @@ class _FactorizeProblem:
         pieces evaluate built for the accepted point, so no point is
         evaluated twice.
         """
-        ntheta = self.n2 * (self.n2 - 1) // 2
+        ntheta = self.ntheta
         best, pieces = self.evaluate(q, t)
         best = float(best)
         self.evals += 1
@@ -409,24 +434,30 @@ class _FactorizeProblem:
                 if norm > 3.0:
                     step *= 3.0 / norm
                 # Backtracking: the first point below best along the halving
-                # scales. The full step is accepted most of the time, so it is
-                # evaluated alone, and the shorter steps as one stack after it
-                # fails. evals counts the points a one-at-a-time search examines.
-                qs = _rotation_ladder(_skew_from_params(step[:ntheta], self.n2)) @ q
-                ts = t + BACKTRACK_SCALES[:, None] * step[ntheta:]
-                val, new_pieces = self.evaluate(qs[0], ts[0])
+                # scales. The full step is accepted most of the time, so its
+                # rotation is built and evaluated alone; the shorter steps are
+                # built from the same eigh and evaluated as one stack only
+                # after it fails. evals counts the points a one-at-a-time
+                # search examines.
+                mu, vk = np.linalg.eigh(1j * _skew_from_params(step[:ntheta], self.n2))
+                dt = step[ntheta:]
+                q_new, t_new = _rotations(mu, vk, BACKTRACK_SCALES[0]) @ q, t + dt
+                val, new_pieces = self.evaluate(q_new, t_new)
                 self.evals += 1
-                k = 0
                 if not val < best:
-                    vals, stack = self.evaluate(qs[1:], ts[1:])
+                    scales = BACKTRACK_SCALES[1:]
+                    qs = _rotations(mu, vk, scales) @ q
+                    ts = t + scales[:, None] * dt
+                    vals, stack = self.evaluate(qs, ts)
                     below = np.flatnonzero(vals < best)
                     if len(below) == 0:
                         self.evals += len(vals)
                         break
-                    k = int(below[0]) + 1
-                    self.evals += k
-                    val, new_pieces = vals[k - 1], tuple(p[k - 1] for p in stack)
-                q, t, best, pieces = qs[k], ts[k], float(val), new_pieces
+                    k = int(below[0])
+                    self.evals += k + 1
+                    q_new, t_new, val = qs[k], ts[k], vals[k]
+                    new_pieces = tuple(p[k] for p in stack)
+                q, t, best, pieces = q_new, t_new, float(val), new_pieces
         return q, t, best
 
 

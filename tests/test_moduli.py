@@ -3,8 +3,9 @@ import pytest
 
 import toruskit as tk
 from toruskit.linalg import haar_orthogonal, random_spd
-from toruskit.moduli import (BACKTRACK_SCALES, _cycle_arrangement_starts,
-                             _cyclic_chain, _FactorizeProblem, _rotation_ladder,
+from toruskit.moduli import (BACKTRACK_SCALES, FACTORIZE_PAIRED_TOL,
+                             _cycle_arrangement_starts, _cyclic_chain,
+                             _FactorizeProblem, _rotation_ladder, _rotations,
                              _skew_from_params, _warm_starts, compatible_metric,
                              invariant_metric_subspace, pair_defect)
 
@@ -506,6 +507,48 @@ def test_rotation_ladder_matches_expm():
             assert np.abs(rot.T @ rot - np.eye(6)).max() <= 1e-14
 
 
+def test_full_step_and_deferred_rungs_match_the_ladder():
+    # polish builds the full step's rotation alone and the 11 shorter ones
+    # only after it is rejected, from the same eigh: each must carry the bits
+    # of its rung of the ladder, also once applied to a frame
+    rng = np.random.default_rng(23)
+    for norm in (1e-8, 1e-3, 0.1, 1.0, 2.0, 3.0, 3.0, 3.0):
+        theta = rng.standard_normal(15)
+        k = _skew_from_params(norm * theta / np.linalg.norm(theta), 6)
+        q = haar_orthogonal(6, rng)
+        ladder = _rotation_ladder(k)
+        mu, v = np.linalg.eigh(1j * k)
+        full = _rotations(mu, v, BACKTRACK_SCALES[0])
+        rest = _rotations(mu, v, BACKTRACK_SCALES[1:])
+        assert full.shape == (6, 6) and rest.shape == (11, 6, 6)
+        assert full.tobytes() == ladder[0].tobytes()
+        assert rest.tobytes() == ladder[1:].tobytes()
+        assert (full @ q).tobytes() == (ladder @ q)[0].tobytes()
+        assert (rest @ q).tobytes() == (ladder @ q)[1:].tobytes()
+
+
+def test_one_point_evaluate_matches_a_one_point_stack():
+    # the one-point path skips the stack's mask and where: same bits, and a
+    # non-finite point reads np.float64 inf
+    problem, starts = _criterion6_problem(7)
+    rng = np.random.default_rng(8)
+    points = starts + [(haar_orthogonal(6, rng), rng.normal(scale=s, size=3))
+                       for s in (1.0, 10.0, 40.0, 400.0)]
+    for q, t in points:
+        val, pieces = problem.evaluate(q, t)
+        vals, stack = problem.evaluate(q[None], t[None])
+        assert type(val) is np.float64
+        assert val.tobytes() == vals[0].tobytes()
+        for a, b in zip(pieces, stack):
+            assert a.tobytes() == b[0].tobytes()
+    q = haar_orthogonal(6, rng)
+    for bad in (np.nan, np.inf):
+        q_bad = q.copy()
+        q_bad[1, 4] = bad
+        val, _ = problem.evaluate(q_bad, np.zeros(3))
+        assert type(val) is np.float64 and val == np.inf
+
+
 def test_stacked_evaluate_matches_one_at_a_time():
     # polish evaluates the shorter backtracking steps as one stack: each point
     # must get the bits it gets alone, and a non-finite point must read inf
@@ -640,3 +683,57 @@ def test_closed_form_winner_builds_no_cycle_starts(monkeypatch, idm6, target):
          else tk.Metric(np.diag([1.0, 2, 4, 4, 2, 1])))
     g1 = tk.pair_factorize(idm6, h)
     assert pair_defect(g1, h) < 1e-10
+
+
+# sha256 over every hop metric's g.tobytes() in the chains connect builds for
+# criterion 7's first 20 pairs, recorded before polish built its backtracking
+# rotations lazily; that change keeps every bit.
+CRITERION7_CHAINS_GOLDEN = "f8db063fb04959c4048c050201423c35669a32846d002b0f27bdc7534bb1eb45"
+
+
+def test_criterion7_chain_metrics_golden_bytes():
+    import hashlib
+    digest = hashlib.sha256()
+    for seed in range(20):
+        i, j = general_position_pair(40_000 + seed)
+        for metric in tk.connect(i, j, tk.ConnectOptions(seed=seed)).metrics:
+            digest.update(metric.g.tobytes())
+    assert digest.hexdigest() == CRITERION7_CHAINS_GOLDEN
+
+
+def _change_of_basis():
+    # a seeded draw from GL(6, R); its condition number is about 10
+    return np.random.default_rng(0).standard_normal((6, 6))
+
+
+def test_pair_factorize_is_basis_independent():
+    # in g = Id units A^T g A and A^T h A are an orthogonal conjugate of (g, h),
+    # so the same criterion-6 targets must factor, each to a metric that
+    # pairs with both of its ends
+    a = _change_of_basis()
+    g = tk.Metric(a.T @ a)
+    failed = []
+    for s in range(20):
+        h = tk.Metric(a.T @ _criterion6_target(s).g @ a)
+        try:
+            g1 = tk.pair_factorize(g, h, seed=s)
+        except tk.FactorizationFailed:
+            failed.append(s)
+            continue
+        assert tk.paired_eigenvalues(g, g1, FACTORIZE_PAIRED_TOL) is not None
+        assert tk.paired_eigenvalues(g1, h, FACTORIZE_PAIRED_TOL) is not None
+    assert failed == [7, 10, 13]
+
+
+def test_connect_is_basis_independent():
+    # J -> A^{-1} J A keeps a pair in general position; every chain must pass
+    # verify_chain (pair 3 takes the 6-hop route in this basis)
+    a = _change_of_basis()
+    a_inv = np.linalg.inv(a)
+    for seed in range(5):
+        i, j = general_position_pair(40_000 + seed)
+        chain = tk.connect(tk.ComplexStructure(a_inv @ i.j @ a),
+                           tk.ComplexStructure(a_inv @ j.j @ a),
+                           tk.ConnectOptions(seed=seed))
+        report = tk.verify_chain(chain)
+        assert report.ok and chain.hops <= 6
