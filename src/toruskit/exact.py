@@ -189,8 +189,11 @@ def split_re_im(m: np.ndarray):
 
 
 def clear_denominators(vec) -> np.ndarray:
-    """Scale a Fraction vector to a primitive integer vector (gcd 1)."""
-    fr = [Fraction(x) for x in vec]
+    """Scale a Fraction vector to a primitive integer vector (gcd 1).
+
+    A Python int already has a numerator and a denominator of 1, so it is
+    used as it is; every other entry is wrapped in a Fraction."""
+    fr = [x if type(x) is int else Fraction(x) for x in vec]
     den = lcm(*(x.denominator for x in fr))
     ints = [x.numerator * (den // x.denominator) for x in fr]
     g = gcd(*ints)

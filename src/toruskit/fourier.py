@@ -79,40 +79,24 @@ class FourierForm:
             if space.in_bounds(m) and c.any():
                 self.modes[tuple(map(int, m))] = c.copy()
 
-    @classmethod
-    def _trusted(cls, space: FourierFormSpace, q: int, modes: dict,
-                 extra: tuple) -> "FourierForm":
-        """A form built inside this module from complex arrays of the right
-        shape, keyed by int mode tuples: the constructor without its
-        per-coefficient conversion, shape check and copy. Out-of-bounds modes
-        and all-zero arrays are still dropped. The arrays are kept, not
-        copied, so they may be shared with other forms; no code in the package
-        writes into a form's arrays."""
-        form = cls.__new__(cls)
-        form.space, form.q, form.extra = space, q, extra
-        form.modes = {m: c for m, c in modes.items() if space.in_bounds(m) and c.any()}
-        return form
-
     def norm(self) -> float:
         return float(np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in self.modes.values())))
 
     def __add__(self, other: "FourierForm") -> "FourierForm":
-        if (self.q, self.extra, self.space.n) != (other.q, other.extra, other.space.n):
+        if (self.q, self.extra) != (other.q, other.extra):
             raise ValueError("form degree/value shape mismatch")
         out = dict(self.modes)
         for m, c in other.modes.items():
             out[m] = out[m] + c if m in out else c
-        return FourierForm._trusted(self.space, self.q, out, self.extra)
+        return FourierForm(self.space, self.q, out, extra=self.extra)
 
     def __sub__(self, other: "FourierForm") -> "FourierForm":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "FourierForm":
-        # complex() is the cast numpy applies to a number, so the bits hold
-        scalar = complex(scalar)
-        return FourierForm._trusted(self.space, self.q,
-                                    {m: c * scalar for m, c in self.modes.items()},
-                                    self.extra)
+        return FourierForm(self.space, self.q,
+                           {m: c * scalar for m, c in self.modes.items()},
+                           extra=self.extra)
 
     __rmul__ = __mul__
 
@@ -152,7 +136,7 @@ def dbar(form: FourierForm) -> FourierForm:
     for m, c in form.modes.items():
         z = TWO_PI * 1j * space.zeta(m)
         out[m] = _wedge_covector(space, z, c, form.q)
-    return FourierForm._trusted(space, form.q + 1, out, form.extra)
+    return FourierForm(space, form.q + 1, out, extra=form.extra)
 
 
 def laplace_scalar(space: FourierFormSpace, mode) -> float:
@@ -171,7 +155,7 @@ def green(form: FourierForm) -> FourierForm:
             continue
         z = space.zeta(m)
         out[m] = (-TWO_PI * 1j / lam) * _contract_vector(space, z.conj(), c, form.q)
-    return FourierForm._trusted(space, form.q - 1, out, form.extra)
+    return FourierForm(space, form.q - 1, out, extra=form.extra)
 
 
 def harmonic_part(form: FourierForm) -> FourierForm:
@@ -225,7 +209,7 @@ def wedge(f: FourierForm, g: FourierForm) -> FourierForm:
         extra = f.extra or g.extra
     i1, i2, comp, sign = _merge_table(space.n, f.q, g.q)
     if not (f.modes and g.modes and len(sign)):
-        return FourierForm._trusted(space, q_out, {}, extra)
+        return FourierForm(space, q_out, {}, extra=extra)
     sums = np.array(list(f.modes))[:, None] + np.array(list(g.modes))
     inside = np.maximum.reduce(np.abs(sums), axis=2) <= space.mode_bound
     j1, j2 = inside.nonzero()
@@ -262,4 +246,4 @@ def wedge(f: FourierForm, g: FourierForm) -> FourierForm:
         at = slots[lo:lo + step, None, None] * (ncomp * size) + entries
         np.add.at(acc, at.ravel(), ab.ravel())
     acc = acc.reshape((len(slot_of), ncomp) + extra)
-    return FourierForm._trusted(space, q_out, dict(zip(slot_of, acc)), extra)
+    return FourierForm(space, q_out, dict(zip(slot_of, acc)), extra=extra)

@@ -8,8 +8,6 @@ against float drift.
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 from . import exact
@@ -85,15 +83,8 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
 
 
 def primitive(vec) -> np.ndarray:
-    """The primitive integer vector on the ray of vec, first nonzero entry > 0.
-
-    A vector of Python ints is divided by its gcd directly; any other vector
-    (Fractions, numpy integers) goes through clear_denominators."""
-    if all(type(x) is int for x in vec):
-        g = gcd(*vec)
-        v = np.array([x // g for x in vec] if g > 1 else list(vec), dtype=object)
-    else:
-        v = exact.clear_denominators(vec)
+    """The primitive integer vector on the ray of vec, first nonzero entry > 0."""
+    v = exact.clear_denominators(vec)
     lead = next((x for x in v if x != 0), 0)
     return -v if lead < 0 else v
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -53,6 +54,31 @@ def test_clear_denominators():
     v = [Fraction(1, 2), Fraction(-3, 4), Fraction(5)]
     ints = exact.clear_denominators(v)
     assert list(ints) == [2, -3, 20]
+
+
+def _clear_by_fractions(vec):
+    # the reference: every entry wrapped in a Fraction
+    fr = [Fraction(x) for x in vec]
+    den = lcm(*(x.denominator for x in fr))
+    ints = [x.numerator * (den // x.denominator) for x in fr]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def test_clear_denominators_int_entries_skip_fractions():
+    # Python ints are not wrapped in Fractions; the output must not change,
+    # for int, numpy-integer, bool and mixed Fraction entries alike
+    rng = np.random.default_rng(11)
+    vecs = [[0, 0, 0], [0, -7], [5], [-(3 ** 80), 6 ** 40, 0], [True, 2],
+            [Fraction(1, 2), 3, Fraction(-5, 4)], [np.int64(4), 6, Fraction(2, 3)]]
+    for _ in range(200):
+        x = rng.integers(-50, 51, rng.integers(1, 16)) * int(rng.integers(1, 9))
+        vecs += [x, np.array([int(v) for v in x], dtype=object), [int(v) for v in x]]
+    for vec in vecs:
+        got = exact.clear_denominators(vec)
+        assert got.dtype == object
+        want = _clear_by_fractions(vec)
+        assert [(type(a), a) for a in got] == [(type(b), b) for b in want]
 
 
 def test_integer_kernel_saturated():

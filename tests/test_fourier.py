@@ -290,28 +290,3 @@ def test_merge_table_agrees_with_merge_sign(n):
                            sign.real.tolist()))
             assert got == want
             assert not sign.imag.any()
-
-
-@pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
-def test_internal_forms_pass_the_public_checks(kind):
-    # dbar, green, +, -, * and wedge skip the constructor's checks and
-    # copies: each result must already be what the public constructor makes
-    # of it (int mode tuples in bounds, complex arrays of the right shape, no
-    # all-zero array), and no operand may be written into
-    sp = FourierFormSpace(3, 2)
-    ef, eg = VALUE_KINDS[kind]
-    for seed in range(4):
-        f = _oracle_form(sp, 1, ef, 6, 2 * seed)
-        g = _oracle_form(sp, 1, ef, 6, 2 * seed + 1)
-        h = _oracle_form(sp, 1, eg, 6, 100 + seed)
-        before = [c.copy() for form in (f, g, h) for c in form.modes.values()]
-        results = [dbar(f), green(f), f + g, f - g, f - f, f * 2, 0.5j * f, 3 * f,
-                   f * 0, wedge(f, h), wedge(h, f)]
-        for got in results:
-            assert all(type(x) is int for m in got.modes for x in m)
-            _assert_same_bits(got, FourierForm(sp, got.q, got.modes, extra=got.extra))
-        after = [c for form in (f, g, h) for c in form.modes.values()]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
-    assert (f - f).modes == {} and (f * 0).modes == {}
-    with pytest.raises(ValueError):
-        f + _oracle_form(FourierFormSpace(2, 2), 1, ef, 3, 0)

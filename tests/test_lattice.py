@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 import numpy as np
 
-from toruskit import exact, lattice
+from toruskit import lattice
 
 
 def test_lll_reduces_norms():
@@ -30,27 +28,6 @@ def test_lll_finds_short_vector():
 def test_primitive():
     assert list(lattice.primitive([2, -4, 6])) == [1, -2, 3]
     assert list(lattice.primitive([-3, 0, 3])) == [1, 0, -1]
-
-
-def _primitive_by_fractions(vec):
-    v = exact.clear_denominators(vec)
-    lead = next((x for x in v if x != 0), 0)
-    return -v if lead < 0 else v
-
-
-def test_primitive_integer_path_matches_fractions():
-    # integer vectors skip the Fraction round trip; the output must not change
-    rng = np.random.default_rng(11)
-    vecs = [[0, 0, 0], [0, -7], [5], [-(3 ** 80), 6 ** 40, 0], [True, 2]]
-    for _ in range(200):
-        x = rng.integers(-50, 51, rng.integers(1, 16)) * int(rng.integers(1, 9))
-        vecs += [x, np.array([int(v) for v in x], dtype=object), [int(v) for v in x]]
-    for vec in vecs:
-        got, want = lattice.primitive(vec), _primitive_by_fractions(vec)
-        assert got.dtype == object and got.shape == want.shape
-        assert [(type(a), a) for a in got] == [(type(b), b) for b in want]
-    mixed = [Fraction(1, 2), 3, Fraction(-5, 4)]
-    assert list(lattice.primitive(mixed)) == [2, 12, -5]
 
 
 def test_small_relation_planted():

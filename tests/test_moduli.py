@@ -686,8 +686,8 @@ def test_closed_form_winner_builds_no_cycle_starts(monkeypatch, idm6, target):
 
 
 # sha256 over every hop metric's g.tobytes() in the chains connect builds for
-# criterion 7's first 20 pairs, recorded before polish built its backtracking
-# rotations lazily; that change keeps every bit.
+# criterion 7's first 20 pairs: a change to the polish that is meant to keep
+# every bit must keep this digest.
 CRITERION7_CHAINS_GOLDEN = "f8db063fb04959c4048c050201423c35669a32846d002b0f27bdc7534bb1eb45"
 
 
@@ -701,15 +701,16 @@ def test_criterion7_chain_metrics_golden_bytes():
     assert digest.hexdigest() == CRITERION7_CHAINS_GOLDEN
 
 
-def _change_of_basis():
-    # a seeded draw from GL(6, R); its condition number is about 10
-    return np.random.default_rng(0).standard_normal((6, 6))
+def _change_of_basis(seed=0):
+    # a seeded draw from GL(6, R); its condition number is about 10 for
+    # seed 0 and about 100 for seed 1
+    return np.random.default_rng(seed).standard_normal((6, 6))
 
 
-def test_pair_factorize_is_basis_independent():
+def test_pair_factorize_after_a_change_of_basis():
     # in g = Id units A^T g A and A^T h A are an orthogonal conjugate of (g, h),
     # so the same criterion-6 targets must factor, each to a metric that
-    # pairs with both of its ends
+    # pairs with both of its ends; this checks the one basis A of seed 0
     a = _change_of_basis()
     g = tk.Metric(a.T @ a)
     failed = []
@@ -725,9 +726,11 @@ def test_pair_factorize_is_basis_independent():
     assert failed == [7, 10, 13]
 
 
-def test_connect_is_basis_independent():
+def test_connect_after_a_change_of_basis():
     # J -> A^{-1} J A keeps a pair in general position; every chain must pass
-    # verify_chain (pair 3 takes the 6-hop route in this basis)
+    # verify_chain (pair 3 takes the 6-hop route in this basis). This checks
+    # the one basis A of seed 0 and does not show that connect is
+    # basis-independent: it is not (the next test)
     a = _change_of_basis()
     a_inv = np.linalg.inv(a)
     for seed in range(5):
@@ -737,3 +740,20 @@ def test_connect_is_basis_independent():
                            tk.ConnectOptions(seed=seed))
         report = tk.verify_chain(chain)
         assert report.ok and chain.hops <= 6
+
+
+def test_connect_fails_on_pair_4_after_the_seed_1_change_of_basis():
+    # A pinned reproducer of a known defect: connect is not basis-covariant
+    # (the FOUND on moduli.connect in CHANGES.md). Criterion 7's pair 4 takes
+    # 3 hops in its own basis, but through the A of seed 1 it ends in
+    # ChainNotFound, because the {1, J}-averages of the identity metric that
+    # connect factors first do not move with A. A mend turns this into a
+    # verified chain: flip the assertion then.
+    a = _change_of_basis(1)
+    a_inv = np.linalg.inv(a)
+    i, j = general_position_pair(40_004)
+    assert tk.connect(i, j, tk.ConnectOptions(seed=4)).hops == 3
+    with pytest.raises(tk.ChainNotFound):
+        tk.connect(tk.ComplexStructure(a_inv @ i.j @ a),
+                   tk.ComplexStructure(a_inv @ j.j @ a),
+                   tk.ConnectOptions(seed=4))
