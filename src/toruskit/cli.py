@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import bundles, fourier, hodge, moduli, serialize, twistor
+from . import bundles, hodge, moduli, serialize, twistor
 from .errors import (ChainNotFound, Diverged, FactorizationFailed, NotTransversal,
                      Obstructed, ToruskitError)
 from .linalg import random_spd

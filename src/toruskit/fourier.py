@@ -10,16 +10,17 @@ Only the zero mode is harmonic.
 Forms are stored sparsely per mode. Coefficients are arrays of shape
 (ncomp(q),) for scalar forms or (ncomp(q), R, R) for End-valued ones; the
 wedge composes matrix factors (form factor of the left operand first).
+dbar, green and wedge read their signs from hodge.wedge_table and give the
+bits of the loops that the tests keep as their oracles.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 
 import numpy as np
 
-from .hodge import basis_subsets, merge_sign, subset_index
+from .hodge import basis_subsets, complex_product, wedge_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,6 +55,17 @@ class FourierFormSpace:
     def zeta(self, mode) -> np.ndarray:
         return self.frame.T @ np.asarray(mode, dtype=float)
 
+    def check_same(self, other: "FourierFormSpace") -> None:
+        """Raise ValueError naming the mismatch unless other holds the same
+        forms: the same n, mode bound and frame."""
+        if other is self:
+            return
+        for what, same in (("n", self.n == other.n),
+                           ("mode bound", self.mode_bound == other.mode_bound),
+                           ("frame", np.array_equal(self.frame, other.frame))):
+            if not same:
+                raise ValueError(f"forms live in different spaces: their {what} differs")
+
     def constant(self, q: int, coeff: np.ndarray) -> "FourierForm":
         """Mode-0 form with the given coefficient array."""
         coeff = np.asarray(coeff, dtype=complex)
@@ -83,6 +95,7 @@ class FourierForm:
         return float(np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in self.modes.values())))
 
     def __add__(self, other: "FourierForm") -> "FourierForm":
+        self.space.check_same(other.space)
         if (self.q, self.extra) != (other.q, other.extra):
             raise ValueError("form degree/value shape mismatch")
         out = dict(self.modes)
@@ -101,42 +114,34 @@ class FourierForm:
     __rmul__ = __mul__
 
 
-def _wedge_covector(space: FourierFormSpace, zeta: np.ndarray,
-                    coeff: np.ndarray, q: int) -> np.ndarray:
-    n = space.n
-    idx = subset_index(n, q + 1)
-    out = np.zeros((space.ncomp(q + 1),) + coeff.shape[1:], dtype=complex)
-    for pos, s in enumerate(basis_subsets(n, q)):
-        c = coeff[pos]
-        for a in range(n):
-            if zeta[a] == 0:
-                continue
-            merged, sign = merge_sign((a,), s)
-            if merged is not None:
-                out[idx[merged]] += sign * zeta[a] * c
-    return out
+def _value_product(a: np.ndarray, b: np.ndarray, ea: int, eb: int) -> np.ndarray:
+    """a * b of coefficients whose last ea and eb axes are matrix values:
+    matrices compose, a scalar scales by numpy's array multiply, and two
+    scalars multiply as numpy scalars do."""
+    if ea and eb:
+        return a @ b
+    if ea or eb:
+        return a.reshape(a.shape + (1,) * eb) * b.reshape(b.shape + (1,) * ea)
+    return complex_product(a, b)
 
 
-def _contract_vector(space: FourierFormSpace, v: np.ndarray,
-                     coeff: np.ndarray, q: int) -> np.ndarray:
-    n = space.n
-    idx = subset_index(n, q - 1)
-    out = np.zeros((space.ncomp(q - 1),) + coeff.shape[1:], dtype=complex)
-    for pos, s in enumerate(basis_subsets(n, q)):
-        c = coeff[pos]
-        for j, sj in enumerate(s):
-            rest = s[:j] + s[j + 1:]
-            out[idx[rest]] += ((-1) ** j) * v[sj] * c
+def _covector_terms(comp, ncomp: int, x, c) -> np.ndarray:
+    """Sum of x[row] * c[row] into component comp[row], in row order."""
+    out = np.zeros((ncomp,) + c.shape[1:], dtype=complex)
+    np.add.at(out, comp, _value_product(x, c, 0, c.ndim - 1))
     return out
 
 
 def dbar(form: FourierForm) -> FourierForm:
-    space = form.space
+    """Wedge with the covector 2 pi i zeta on each mode, through the wedge
+    table of (q, 1): e_a ^ e_s = (-1)^q e_s ^ e_a."""
+    space, q = form.space, form.q
+    s, a, comp, sign = wedge_table(space.n, q, 1)
     out = {}
     for m, c in form.modes.items():
-        z = TWO_PI * 1j * space.zeta(m)
-        out[m] = _wedge_covector(space, z, c, form.q)
-    return FourierForm(space, form.q + 1, out, extra=form.extra)
+        z = (-1) ** q * sign * (TWO_PI * 1j * space.zeta(m))[a]
+        out[m] = _covector_terms(comp, space.ncomp(q + 1), z, c[s])
+    return FourierForm(space, q + 1, out, extra=form.extra)
 
 
 def laplace_scalar(space: FourierFormSpace, mode) -> float:
@@ -146,16 +151,20 @@ def laplace_scalar(space: FourierFormSpace, mode) -> float:
 
 def green(form: FourierForm) -> FourierForm:
     """Partial inverse of d-bar on its image: dbar^* / Laplacian, zero on
-    the harmonic (zero) mode."""
-    space = form.space
+    the harmonic (zero) mode.
+
+    Contraction with the conjugate covector reads the wedge table of
+    (1, q - 1): e_l ^ e_t = sign e_s gives i_l e_s = sign e_t."""
+    space, q = form.space, form.q
+    ell, t, comp, sign = wedge_table(space.n, 1, q - 1)
     out = {}
     for m, c in form.modes.items():
         lam = laplace_scalar(space, m)
         if lam < 1e-24:
             continue
-        z = space.zeta(m)
-        out[m] = (-TWO_PI * 1j / lam) * _contract_vector(space, z.conj(), c, form.q)
-    return FourierForm(space, form.q - 1, out, extra=form.extra)
+        v = sign * space.zeta(m).conj()[ell]
+        out[m] = (-TWO_PI * 1j / lam) * _covector_terms(t, space.ncomp(q - 1), v, c[comp])
+    return FourierForm(space, q - 1, out, extra=form.extra)
 
 
 def harmonic_part(form: FourierForm) -> FourierForm:
@@ -170,44 +179,23 @@ def harmonic_part(form: FourierForm) -> FourierForm:
 _CHUNK_BYTES = 1 << 18
 
 
-@lru_cache(maxsize=None)
-def _merge_table(n: int, q_f: int, q_g: int) -> tuple:
-    """Nonzero products e_{s1} ^ e_{s2} of (0,q_f) and (0,q_g) basis forms, as
-    arrays (i1, i2, output component, complex sign) in (i1, i2) order."""
-    idx = subset_index(n, q_f + q_g)
-    rows = []
-    for i1, s1 in enumerate(basis_subsets(n, q_f)):
-        for i2, s2 in enumerate(basis_subsets(n, q_g)):
-            merged, sign = merge_sign(s1, s2)
-            if merged is not None:
-                rows.append((i1, i2, idx[merged], sign))
-    i1, i2, comp, sign = (np.array([r[k] for r in rows], dtype=np.intp)
-                          for k in range(4))
-    table = (i1, i2, comp, sign.astype(complex))
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
 def wedge(f: FourierForm, g: FourierForm) -> FourierForm:
     """Composition wedge: form factors wedge, value factors compose (f's
     matrix on the left). Modes outside the cube are truncated away.
 
     Batched over mode pairs with the arithmetic of the plain loop over f's
-    modes, g's modes and merge-table rows: each product rounds as the loop's
+    modes, g's modes and wedge-table rows: each product rounds as the loop's
     does, is multiplied by the sign as a complex number, and each output
     entry receives its terms in loop order. The result is bit for bit the
     loop's, output modes in order of first encounter."""
     space = f.space
-    if g.space is not space and (g.space.n != space.n
-                                 or g.space.mode_bound != space.mode_bound):
-        raise ValueError("forms live in different spaces")
+    space.check_same(g.space)
     q_out = f.q + g.q
     if f.extra and g.extra:
         extra = (f.extra[0], g.extra[1])
     else:
         extra = f.extra or g.extra
-    i1, i2, comp, sign = _merge_table(space.n, f.q, g.q)
+    i1, i2, comp, sign = wedge_table(space.n, f.q, g.q)
     if not (f.modes and g.modes and len(sign)):
         return FourierForm(space, q_out, {}, extra=extra)
     sums = np.array(list(f.modes))[:, None] + np.array(list(g.modes))
@@ -226,22 +214,11 @@ def wedge(f: FourierForm, g: FourierForm) -> FourierForm:
     # Per pair: both gathered operands, the product and its entry indices.
     pair_bytes = len(sign) * (16 * (prod(f.extra) + prod(g.extra) + size) + 8 * size)
     step = max(1, _CHUNK_BYTES // pair_bytes)
-    sign = sign.reshape(sign.shape + (1,) * len(extra))
+    sign = sign.astype(complex).reshape(sign.shape + (1,) * len(extra))
     for lo in range(0, len(j1), step):
         a = c1[j1[lo:lo + step, None], i1]
         b = c2[j2[lo:lo + step, None], i2]
-        if f.extra and g.extra:
-            ab = a @ b
-        elif f.extra:
-            ab = a * b.reshape(b.shape + (1,) * len(f.extra))
-        elif g.extra:
-            ab = a.reshape(a.shape + (1,) * len(g.extra)) * b
-        else:
-            # The products of numpy scalars round each partial product; an
-            # array multiply may fuse them (FMA). Spell the product out.
-            ab = np.empty(a.shape, dtype=complex)
-            ab.real = a.real * b.real - a.imag * b.imag
-            ab.imag = a.real * b.imag + a.imag * b.real
+        ab = _value_product(a, b, len(f.extra), len(g.extra))
         np.multiply(sign, ab, out=ab)
         at = slots[lo:lo + step, None, None] * (ncomp * size) + entries
         np.add.at(acc, at.ravel(), ab.ravel())

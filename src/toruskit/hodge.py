@@ -12,6 +12,10 @@ when its coefficients are an object array. Genericity asks for a proper
 subtorus or an integral (p,p) class with 0 < p < n. A rational J always has
 the subtorus span_Q{e1, Je1}; a float torus gets a bounded LLL search, whose
 clean sweep is no proof.
+
+One cached wedge table of the signed products e_s ^ e_t carries the sign rule
+for MultiVector.wedge, derivation_matrix and fourier's dbar, green and wedge;
+the tests keep the loops it replaced as its oracles.
 """
 
 from __future__ import annotations
@@ -45,6 +49,32 @@ def merge_sign(s1: tuple, s2: tuple):
         return None, 0
     inv = sum(1 for a in s1 for b in s2 if a > b)
     return tuple(sorted(s1 + s2)), -1 if inv % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def wedge_table(dim: int, p: int, q: int) -> tuple:
+    """The nonzero products e_s ^ e_t of basis p- and q-forms, the one sign
+    rule of the exterior algebra: read-only arrays (index of s, index of t,
+    index of the sorted union, sign +-1), in (s, t) order."""
+    idx = subset_index(dim, p + q)
+    rows = []
+    for i, s in enumerate(basis_subsets(dim, p)):
+        for k, t in enumerate(basis_subsets(dim, q)):
+            merged, sign = merge_sign(s, t)
+            if merged is not None:
+                rows.append((i, k, idx[merged], sign))
+    table = np.array(rows, dtype=np.intp).reshape(-1, 4).T.copy()
+    table.flags.writeable = False
+    return tuple(table)
+
+
+def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b, rounded as numpy rounds a product of complex scalars:
+    each partial product on its own, where an array multiply may fuse (FMA)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 class MultiVector:
@@ -129,16 +159,17 @@ class MultiVector:
             raise ValueError("degree/dimension mismatch")
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
+        """The products (sign * c1) * c2, rounded as scalars and summed in table
+        order. Zero terms are skipped, as coefficients may be infinite."""
         if self.dim != other.dim:
             raise ValueError("ambient dimension mismatch")
         degree = self.degree + other.degree
-        idx = subset_index(self.dim, degree)
-        coeffs = np.zeros(len(idx), dtype=np.result_type(self.coeffs, other.coeffs))
-        for s1, c1 in self.terms():
-            for s2, c2 in other.terms():
-                merged, sign = merge_sign(s1, s2)
-                if merged is not None:
-                    coeffs[idx[merged]] += sign * c1 * c2
+        i, k, comp, sign = wedge_table(self.dim, self.degree, other.degree)
+        live = (self.coeffs[i] != 0) & (other.coeffs[k] != 0)
+        a, b, sign = self.coeffs[i[live]], other.coeffs[k[live]], sign[live]
+        coeffs = np.zeros(len(basis_subsets(self.dim, degree)), dtype=np.result_type(a, b))
+        terms = sign * a * b if coeffs.dtype == object else complex_product(sign * a, b)
+        np.add.at(coeffs, comp[live], terms)
         return MultiVector(self.dim, degree, coeffs)
 
     def __repr__(self):
@@ -147,33 +178,23 @@ class MultiVector:
 
 
 def derivation_matrix(jm: np.ndarray, degree: int) -> np.ndarray:
-    """Matrix of the derivation extension of J on Lambda^degree.
+    """Matrix of the derivation extension of J on Lambda^degree, the sum of
+    J[m, l] e_m ^ i_l: as e_l ^ e_t = sign e_s gives i_l e_s = sign e_t, each
+    pair of rows of the (1, degree - 1) wedge table sharing t is one term.
 
     Works for float and object (exact) matrices alike; the entries an object
     J never reaches stay the integer 0.
     """
     dim = jm.shape[0]
-    subs = basis_subsets(dim, degree)
-    idx = subset_index(dim, degree)
-    d = np.zeros((len(subs), len(subs)), dtype=jm.dtype)
-    for col, s in enumerate(subs):
-        sset = set(s)
-        for p, sp in enumerate(s):
-            for m in range(dim):
-                c = jm[m, sp]
-                if c == 0:
-                    continue
-                if m == sp:
-                    d[col, col] = d[col, col] + c  # diagonal slot, sign +1
-                    continue
-                if m in sset:
-                    continue
-                rest = s[:p] + s[p + 1:]
-                pos_new = sum(1 for x in rest if x < m)
-                sign = -1 if (pos_new - p) % 2 else 1
-                target = tuple(sorted(rest + (m,)))
-                r = idx[target]
-                d[r, col] = d[r, col] + sign * c
+    size = len(basis_subsets(dim, degree))
+    d = np.zeros((size, size), dtype=jm.dtype)
+    if degree == 0:
+        return d
+    m, t, comp, sign = wedge_table(dim, 1, degree - 1)
+    # Row pairs in row order: a diagonal entry gets its J[l, l] in rising l.
+    x, y = np.nonzero(t[:, None] == t)
+    x, y = np.array((x, y))[:, jm[m[x], m[y]] != 0]
+    np.add.at(d, (comp[x], comp[y]), sign[x] * sign[y] * jm[m[x], m[y]])
     return d
 
 

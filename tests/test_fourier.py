@@ -5,7 +5,7 @@ from toruskit import fourier
 from toruskit.fourier import (TWO_PI, FourierForm, FourierFormSpace,
                               canonical_frame, dbar, green, harmonic_part,
                               laplace_scalar, wedge)
-from toruskit.hodge import basis_subsets, merge_sign, subset_index
+from toruskit.hodge import basis_subsets, merge_sign, subset_index, wedge_table
 
 from conftest import twisted_laplacian
 
@@ -24,11 +24,42 @@ def random_form(space, q, extra=(), nmodes=4, seed=0):
     return FourierForm(space, q, modes, extra=extra)
 
 
+def _wedge_covector(space, zeta, coeff, q):
+    """zeta ^ coeff as the loop over basis subsets and covector indices that
+    dbar ran before the wedge table; dbar's byte oracle."""
+    n = space.n
+    idx = subset_index(n, q + 1)
+    out = np.zeros((space.ncomp(q + 1),) + coeff.shape[1:], dtype=complex)
+    for pos, s in enumerate(basis_subsets(n, q)):
+        c = coeff[pos]
+        for a in range(n):
+            if zeta[a] == 0:
+                continue
+            merged, sign = merge_sign((a,), s)
+            if merged is not None:
+                out[idx[merged]] += sign * zeta[a] * c
+    return out
+
+
+def _contract_vector(space, v, coeff, q):
+    """The contraction of coeff by v as the loop over basis subsets and their
+    positions that green ran before the wedge table; green's byte oracle."""
+    n = space.n
+    idx = subset_index(n, q - 1)
+    out = np.zeros((space.ncomp(q - 1),) + coeff.shape[1:], dtype=complex)
+    for pos, s in enumerate(basis_subsets(n, q)):
+        c = coeff[pos]
+        for j, sj in enumerate(s):
+            rest = s[:j] + s[j + 1:]
+            out[idx[rest]] += ((-1) ** j) * v[sj] * c
+    return out
+
+
 def dbar_star(form, twist=0.0):
     """The formal adjoint of dbar (of the twisted dbar for a nonzero twist):
     contraction with the conjugate covector of each mode."""
     space = form.space
-    out = {m: (-TWO_PI * 1j) * fourier._contract_vector(
+    out = {m: (-TWO_PI * 1j) * _contract_vector(
         space, space.zeta(np.add(m, twist)).conj(), c, form.q)
         for m, c in form.modes.items()}
     return FourierForm(space, form.q - 1, out, extra=form.extra)
@@ -37,7 +68,7 @@ def dbar_star(form, twist=0.0):
 def twisted_dbar(form, twist):
     """dbar on the twisted complex: mode m carries e^{2 pi i (m + twist).x}."""
     space = form.space
-    out = {m: fourier._wedge_covector(
+    out = {m: _wedge_covector(
         space, TWO_PI * 1j * space.zeta(np.add(m, twist)), c, form.q)
         for m, c in form.modes.items()}
     return FourierForm(space, form.q + 1, out, extra=form.extra)
@@ -268,7 +299,7 @@ def test_wedge_matches_loop_across_chunks():
     g = _oracle_form(sp, 1, (4, 4), 60, seed=5)
     # A chunk holds at most this many pairs: each pair's products alone take
     # 16 bytes per entry of every merge-table row.
-    rows = len(fourier._merge_table(3, 1, 1)[0])
+    rows = len(wedge_table(3, 1, 1)[0])
     most_per_chunk = fourier._CHUNK_BYTES // (16 * rows * 16)
     pairs = sum(sp.in_bounds(np.add(m1, m2)) for m1 in f.modes for m2 in g.modes)
     assert pairs > 2 * most_per_chunk
@@ -279,14 +310,95 @@ def test_wedge_matches_loop_across_chunks():
 def test_merge_table_agrees_with_merge_sign(n):
     for q_f in range(n + 1):
         for q_g in range(n + 1):
-            i1, i2, comp, sign = fourier._merge_table(n, q_f, q_g)
+            i1, i2, comp, sign = wedge_table(n, q_f, q_g)
             want = []
             for a, s1 in enumerate(basis_subsets(n, q_f)):
                 for b, s2 in enumerate(basis_subsets(n, q_g)):
                     merged, sg = merge_sign(s1, s2)
                     if merged is not None:
                         want.append((a, b, subset_index(n, q_f + q_g)[merged], sg))
-            got = list(zip(i1.tolist(), i2.tolist(), comp.tolist(),
-                           sign.real.tolist()))
+            got = list(zip(i1.tolist(), i2.tolist(), comp.tolist(), sign.tolist()))
             assert got == want
-            assert not sign.imag.any()
+
+
+def _dbar_loop(form):
+    space = form.space
+    out = {m: _wedge_covector(space, TWO_PI * 1j * space.zeta(m), c, form.q)
+           for m, c in form.modes.items()}
+    return FourierForm(space, form.q + 1, out, extra=form.extra)
+
+
+def _green_loop(form):
+    space = form.space
+    out = {}
+    for m, c in form.modes.items():
+        lam = laplace_scalar(space, m)
+        if lam < 1e-24:
+            continue
+        out[m] = (-TWO_PI * 1j / lam) * _contract_vector(
+            space, space.zeta(m).conj(), c, form.q)
+    return FourierForm(space, form.q - 1, out, extra=form.extra)
+
+
+def _frame(n, seed):
+    """The canonical frame, or a random one (seed > 0): the canonical one
+    has zeta components that are exactly zero, real or imaginary."""
+    if seed == 0:
+        return canonical_frame(n)
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+
+
+@pytest.mark.parametrize("op, loop", [(dbar, _dbar_loop), (green, _green_loop)],
+                         ids=["dbar", "green"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dbar_and_green_match_loop_bitwise(op, loop, n):
+    cases = 0
+    for frame_seed in (0, n):
+        sp = FourierFormSpace(n, 2, frame=_frame(n, frame_seed))
+        for q in range(n + 1):
+            for extra in ((), (2, 2), (3, 3)):
+                seed = 1000 * n + 10 * q + len(extra)
+                f = _oracle_form(sp, q, extra, 6, seed=seed + frame_seed)
+                zero_mode, lone = (0,) * (2 * n), (1,) + (0,) * (2 * n - 1)
+                f.modes[zero_mode] = f.modes[lone] = _oracle_form(
+                    sp, q, extra, 1, seed=seed + 1).modes.popitem()[1]
+                empty = FourierForm(sp, q, {}, extra=extra)
+                for form in (f, empty):
+                    if op is green and q == 0:  # there is no (0,-1) form
+                        for fn in (op, loop):
+                            with pytest.raises(ValueError):
+                                fn(form)
+                        continue
+                    _assert_same_bits(op(form), loop(form))
+                    cases += 1
+    assert cases == 2 * 3 * 2 * (n + 1 if op is dbar else n)
+    # in the canonical frame the lone mode meets the loop's skip of zero zeta
+    assert (FourierFormSpace(n, 2).zeta(lone)[1:] == 0).all()
+
+
+def _space_pair(**change):
+    base = dict(n=2, mode_bound=2, frame=canonical_frame(2))
+    return FourierFormSpace(**base), FourierFormSpace(**{**base, **change})
+
+
+@pytest.mark.parametrize("change, what", [
+    ({"n": 3, "frame": canonical_frame(3)}, "their n differs"),
+    ({"mode_bound": 3}, "their mode bound differs"),
+    ({"frame": 2 * canonical_frame(2)}, "their frame differs"),
+], ids=["n", "mode_bound", "frame"])
+def test_forms_from_different_spaces_do_not_combine(change, what):
+    left, right = _space_pair(**change)
+    f = FourierForm(left, 1, {(1, 0, 0, 0): np.ones(2, complex)})
+    g = FourierForm(right, 1, {(1, 0, 0, 0): np.ones(right.n, complex)})
+    for combine in (lambda: f + g, lambda: g + f, lambda: wedge(f, g), lambda: wedge(g, f)):
+        with pytest.raises(ValueError, match=what):
+            combine()
+
+
+def test_forms_from_equal_spaces_combine():
+    left, right = _space_pair()
+    f = FourierForm(left, 1, {(1, 0, 0, 0): np.ones(2, complex)})
+    g = FourierForm(right, 1, {(0, 1, 0, 0): np.ones(2, complex)})
+    assert (f + g).space is left and set((f + g).modes) == {(1, 0, 0, 0), (0, 1, 0, 0)}
+    assert wedge(f, g).space is left

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import toruskit as tk
 from toruskit import exact, hodge
-from toruskit.hodge import (MultiVector, derivation_matrix, pq_labels, pq_projectors,
-                           verify_sublattice)
+from toruskit.hodge import (MultiVector, basis_subsets, derivation_matrix, merge_sign,
+                           pq_labels, pq_projectors, subset_index, verify_sublattice)
 
 from conftest import t0_exact, t0_periods
 
@@ -272,6 +272,121 @@ def test_wedge_anticommutes_on_vectors(xs, ys):
     a = vector_wedge(6, np.array(xs, dtype=complex))
     b = vector_wedge(6, np.array(ys, dtype=complex))
     assert np.abs(a.wedge(b).coeffs + b.wedge(a).coeffs).max() == 0
+
+
+# ---------------------------------------------------------------------------
+# The term loops the wedge table replaced, kept as its byte oracles
+
+
+def _wedge_loop(v, w):
+    """MultiVector.wedge as a loop over the nonzero terms of both factors."""
+    degree = v.degree + w.degree
+    idx = subset_index(v.dim, degree)
+    coeffs = np.zeros(len(idx), dtype=np.result_type(v.coeffs, w.coeffs))
+    for s1, c1 in v.terms():
+        for s2, c2 in w.terms():
+            merged, sign = merge_sign(s1, s2)
+            if merged is not None:
+                coeffs[idx[merged]] += sign * c1 * c2
+    return MultiVector(v.dim, degree, coeffs)
+
+
+def _derivation_loop(jm, degree):
+    """derivation_matrix as a loop over each basis subset's positions, with
+    the sign of the replaced index counted from its new position."""
+    dim = jm.shape[0]
+    subs = basis_subsets(dim, degree)
+    idx = subset_index(dim, degree)
+    d = np.zeros((len(subs), len(subs)), dtype=jm.dtype)
+    for col, s in enumerate(subs):
+        sset = set(s)
+        for p, sp in enumerate(s):
+            for m in range(dim):
+                c = jm[m, sp]
+                if c == 0:
+                    continue
+                if m == sp:
+                    d[col, col] = d[col, col] + c  # diagonal slot, sign +1
+                    continue
+                if m in sset:
+                    continue
+                rest = s[:p] + s[p + 1:]
+                pos_new = sum(1 for x in rest if x < m)
+                sign = -1 if (pos_new - p) % 2 else 1
+                r = idx[tuple(sorted(rest + (m,)))]
+                d[r, col] = d[r, col] + sign * c
+    return d
+
+
+def _assert_same_entries(got, want):
+    """Same dtype and bytes, or for object arrays the same types and values."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if want.dtype == object:
+        assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+        assert (got == want).all()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def _sparse_normal(rng, shape, zeros=0.3):
+    """Standard normal entries, about `zeros` of them exactly 0 and a few -0."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < zeros] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_derivation_matrix_matches_loop_over_floats(dim):
+    rng = np.random.default_rng(dim)
+    j = tk.random_structure(tk.identity_metric(dim), rng).j
+    for jm in (j, j.astype(complex), _sparse_normal(rng, (dim, dim)).astype(complex),
+               _sparse_normal(rng, (dim, dim)) + 1j * _sparse_normal(rng, (dim, dim))):
+        for degree in range(dim + 1):
+            _assert_same_entries(derivation_matrix(jm, degree), _derivation_loop(jm, degree))
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_derivation_matrix_matches_loop_over_fractions(dim):
+    rng = np.random.default_rng(100 + dim)
+    num = rng.integers(-3, 4, (dim, dim))
+    den = rng.integers(1, 5, (dim, dim))
+    jm = np.array([[Fraction(int(a), int(b)) for a, b in zip(r, e)]
+                   for r, e in zip(num, den)], dtype=object)
+    for degree in range(dim + 1):
+        got = derivation_matrix(jm, degree)
+        _assert_same_entries(got, _derivation_loop(jm, degree))
+    assert degree == dim and got.shape == (1, 1)
+    assert derivation_matrix(jm, 0).tolist() == [[0]]
+    j = t0_exact().induced_structure().j_exact
+    for degree in range(7):
+        _assert_same_entries(derivation_matrix(j, degree), _derivation_loop(j, degree))
+
+
+def test_multivector_wedge_matches_loop_over_floats():
+    rng = np.random.default_rng(7)
+    for dim in (4, 6):
+        for p in range(dim + 1):
+            for q in range(dim + 1 - p):
+                size_p, size_q = len(basis_subsets(dim, p)), len(basis_subsets(dim, q))
+                v = MultiVector(dim, p, _sparse_normal(rng, size_p)
+                                + 1j * _sparse_normal(rng, size_p))
+                w = MultiVector(dim, q, _sparse_normal(rng, size_q)
+                                + 1j * _sparse_normal(rng, size_q))
+                _assert_same_entries(v.wedge(w).coeffs, _wedge_loop(v, w).coeffs)
+    # zero terms are skipped, so an infinite coefficient meets no zero factor
+    v = MultiVector(4, 1, [np.inf, 0, 1, 0])
+    w = MultiVector(4, 1, [0, 2, 0, 1j])
+    with np.errstate(invalid="ignore"):
+        _assert_same_entries(v.wedge(w).coeffs, _wedge_loop(v, w).coeffs)
+
+
+def test_multivector_wedge_matches_loop_over_gaussian_rationals():
+    a = _exact_class({(0, 3): (Fraction(1, 2), 1), (1, 4): (Fraction(1, 3), 0),
+                      (2, 5): (0, 0)})
+    b = _exact_class({(2, 5): (2, 0), (0, 1): (0, -1), (1, 2): (Fraction(-3, 7), 2)})
+    for v, w in ((a, b), (b, a), (a, a), (a, MultiVector.basis_element(6, 2))):
+        _assert_same_entries(v.wedge(w).coeffs, _wedge_loop(v, w).coeffs)
 
 
 @settings(max_examples=20, deadline=None)
