@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,9 +121,8 @@ def _cmd_connect(args) -> int:
     i = serialize.decode_structure(_read_json(args.i))
     j = serialize.decode_structure(_read_json(args.j))
     seed = _seed_of(args)
-    opts = moduli.ConnectOptions(
-        seed=seed, certify_generic=args.certify_generic, bound=args.bound,
-        factorize_seed=seed)
+    opts = moduli.ConnectOptions(seed=seed, certify_generic=args.certify_generic,
+                                 bound=args.bound)
     chain = moduli.connect(i, j, opts)
     doc = serialize.encode_chain(chain)
     doc["seed"] = seed
@@ -205,7 +205,10 @@ def _cmd_curvature_scan(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> Parser:
+    """The argument parser, built once per process: a parse leaves it as it
+    was, so every call of main can share it."""
     p = Parser(prog="toruskit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

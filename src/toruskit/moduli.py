@@ -5,7 +5,7 @@ both; the criterion is that the metric ratio has all eigenvalues in pairs.
 Chains of at most 6 hops are built by factoring the target metric ratio into
 two paired factors (a nonsmooth eigenvalue-matching problem solved by a
 Gauss-Newton polish on the pair gaps from closed-form warm starts, then from
-seeded random starts).
+a fixed list of random starts).
 """
 
 from __future__ import annotations
@@ -214,13 +214,6 @@ def _rotations(mu: np.ndarray, v: np.ndarray, scales) -> np.ndarray:
     return ((v * phases[..., None, :]) @ v.conj().T).real
 
 
-def _rotation_ladder(k: np.ndarray) -> np.ndarray:
-    """exp(s K) of a real skew K for every s in BACKTRACK_SCALES, as one stack,
-    from one eigh of the Hermitian iK."""
-    mu, v = np.linalg.eigh(1j * k)
-    return _rotations(mu, v, BACKTRACK_SCALES)
-
-
 def _cyclic_chain(d: np.ndarray):
     """Closed-form interleaved-pairing solve for a diagonal target.
 
@@ -246,11 +239,13 @@ def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray):
     the pairing cycle, each yielded as soon as it is solved.
 
     wv, qv is the eigendecomposition of the target. The interleaved matchings
-    close exactly when a 3-subset of eigenvalues balances the alternating
-    product; the arrangements with the smallest closure mismatch (solved
-    least-squares in logs) make the best seeds.
+    close exactly when an n-subset of eigenvalues balances the alternating
+    product, so the subsets are taken in order of their closure mismatch.
+    Each gives one arrangement, its eigenvalues alternating with the
+    remaining ones in index order, and one start, solved least-squares in
+    logs.
     """
-    from itertools import combinations, islice, permutations
+    from itertools import combinations
     n2 = len(wv)
     n = n2 // 2
     logd = np.log(wv)
@@ -268,26 +263,17 @@ def _cycle_arrangement_starts(wv: np.ndarray, qv: np.ndarray):
         a[2 * k, n + k] += 1
         a[2 * k + 1, (k + 1) % n] += 1
         a[2 * k + 1, n + k] += 1
-    built = 0
-    for eps, sub, rest in cands:
-        for perm in islice(permutations(rest), max(1, CYCLE_STARTS // len(cands) + 1)):
-            order = []
-            for k in range(n):
-                order.append(sub[k])
-                order.append(perm[k])
-            d = wv[list(order)]
-            sol, *_ = np.linalg.lstsq(a, np.log(d), rcond=None)
-            yield qv[:, list(order)], -0.5 * sol[:n]
-            built += 1
-            if built >= CYCLE_STARTS:
-                return
+    for _, sub, rest in cands[:CYCLE_STARTS]:
+        order = [i for pair in zip(sub, rest) for i in pair]
+        sol, *_ = np.linalg.lstsq(a, np.log(wv[order]), rcond=None)
+        yield qv[:, order], -0.5 * sol[:n]
 
 
 def _warm_starts(h_hat: np.ndarray):
     """(q, t) starts in job order, yielded lazily: the interleaved-pairing
     closed form (on the diagonal itself for a diagonal target, then in the
-    eigenframe), the eigenframe at the pair means, the identity, and the
-    cycle arrangements, which are built only if every earlier start fails."""
+    eigenframe), the eigenframe at the pair means, and the cycle
+    arrangements, which are built only if every earlier start fails."""
     n2 = h_hat.shape[0]
     off_diag = frob(h_hat - np.diag(np.diag(h_hat)))
     if off_diag <= 1e-12 * max(frob(h_hat), 1.0):
@@ -298,7 +284,6 @@ def _warm_starts(h_hat: np.ndarray):
     yield qv, -0.5 * np.log(np.abs(alpha))
     pair_means = np.sqrt(wv[0::2] * wv[1::2])
     yield qv, -0.5 * np.log(pair_means)
-    yield np.eye(n2), np.zeros(n2 // 2)
     yield from _cycle_arrangement_starts(wv, qv)
 
 
@@ -461,33 +446,31 @@ class _FactorizeProblem:
         return q, t, best
 
 
-def _jobs(h_hat: np.ndarray, seed: int):
+def _jobs(h_hat: np.ndarray):
     """(q, t) starts in job order: the warm starts, then N_PROBES random
-    starts. Probe k, counting the warm starts before it, draws from
-    default_rng([seed, k]), so each result is a pure function of
-    (inputs, seed, k)."""
-    k = 0
-    for k, start in enumerate(_warm_starts(h_hat), 1):
-        yield start
+    starts, probe m drawn from default_rng(m). The list depends on the target
+    alone."""
+    yield from _warm_starts(h_hat)
     n2 = h_hat.shape[0]
-    for k in range(k, k + N_PROBES):
-        rng = np.random.default_rng([seed, k])
+    for m in range(N_PROBES):
+        rng = np.random.default_rng(m)
         yield haar_orthogonal(n2, rng), rng.normal(scale=1.0, size=n2 // 2)
 
 
-def pair_factorize(g: Metric, h: Metric, seed: int = 0) -> Metric:
+def pair_factorize(g: Metric, h: Metric) -> Metric:
     """Middle metric g1 with both ratios g->g1 and g1->h eigenvalue-paired.
 
     Normalizes to g = Id and parametrizes the candidate as an orthogonal
     conjugate of a doubled diagonal. One search runs a Gauss-Newton polish on
     the pair gaps of the remaining ratio, first from the warm starts (the
     interleaved-pairing closed form, which answers near-diagonal targets
-    outright, and the cycle arrangements), then from N_PROBES random starts
-    drawn from `seed`, and stops at the first job that converges. Success
-    means a pairing defect at most FACTORIZE_DEFECT_TOL and both ratios
-    paired at FACTORIZE_PAIRED_TOL. Every failure raises FactorizationFailed:
-    with the best candidate, the smallest (defect, job index), or with
-    best=None when rounding leaves that candidate indefinite.
+    outright, and the cycle arrangements), then from N_PROBES fixed random
+    starts, and stops at the first job that converges. The start list is
+    fixed, so the result is a function of (g, h) alone. Success means a
+    pairing defect at most FACTORIZE_DEFECT_TOL and both ratios paired at
+    FACTORIZE_PAIRED_TOL. Every failure raises FactorizationFailed: with the
+    best candidate, the smallest (defect, job index), or with best=None when
+    rounding leaves that candidate indefinite.
     """
     w = g.sqrt_inv()
     h_t = w @ h.g @ w
@@ -503,7 +486,7 @@ def pair_factorize(g: Metric, h: Metric, seed: int = 0) -> Metric:
     # The first job reaching full convergence wins, else the smallest
     # (defect, index): the strict < keeps the lower index on ties.
     best = None
-    for q0, t0 in _jobs(h_hat, seed):
+    for q0, t0 in _jobs(h_hat):
         res = problem.polish(q0, t0)
         if res[2] <= success_defect:
             best = res
@@ -605,13 +588,12 @@ DIRECT_RETRIES = 3
 
 @dataclass(frozen=True)
 class ConnectOptions:
-    """seed draws retries and middles; factorize_seed seeds each 3-hop route's
-    first pair_factorize; certify_generic checks middles at `bound`."""
+    """seed draws the retries' compatible metrics and the 6-hop middles;
+    certify_generic checks middles at `bound`."""
 
     seed: int = 0
     certify_generic: bool = False
     bound: int = 10
-    factorize_seed: int = 0
 
 
 def compatible_metric(j: ComplexStructure, rng=None) -> Metric:
@@ -624,15 +606,13 @@ def compatible_metric(j: ComplexStructure, rng=None) -> Metric:
     return Metric(_average(base, j))
 
 
-def _three_hops(i: ComplexStructure, j: ComplexStructure, rng,
-                factorize_seed: int) -> Chain:
+def _three_hops(i: ComplexStructure, j: ComplexStructure, rng) -> Chain:
     last_err = None
     for attempt in range(DIRECT_RETRIES):
         g = compatible_metric(i, None if attempt == 0 else rng)
         h = compatible_metric(j, None if attempt == 0 else rng)
-        seed = int(rng.integers(0, 2 ** 32)) if attempt else factorize_seed
         try:
-            g1 = pair_factorize(g, h, seed)
+            g1 = pair_factorize(g, h)
         except FactorizationFailed as err:
             last_err = err
             continue
@@ -673,7 +653,7 @@ def connect(i: ComplexStructure, j: ComplexStructure,
         if verify_chain(chain).ok:
             return chain
     try:
-        return _three_hops(i, j, rng, opts.factorize_seed)
+        return _three_hops(i, j, rng)
     except FactorizationFailed:
         pass
     for _ in range(MAX_ATTEMPTS):
@@ -682,8 +662,8 @@ def connect(i: ComplexStructure, j: ComplexStructure,
         if opts.certify_generic and not _middle_is_generic(middle, opts.bound):
             continue
         try:
-            left = _three_hops(i, middle, rng, opts.factorize_seed)
-            right = _three_hops(middle, j, rng, opts.factorize_seed)
+            left = _three_hops(i, middle, rng)
+            right = _three_hops(middle, j, rng)
         except FactorizationFailed:
             continue
         chain = Chain(structures=left.structures + right.structures[1:],

@@ -34,6 +34,13 @@ from .moduli import Chain, verify_chain
 from .torus import ComplexStructure, MarkedTorus, Metric, make_torus
 
 
+# The largest fourier_form n and multivector dim a document may give. The
+# readers build C(n, q) and C(dim, degree) entries from these alone, before
+# any other check, and that cost grows about fourfold with each +2.
+MAX_FOURIER_N = 12
+MAX_MULTIVECTOR_DIM = 20
+
+
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
 
@@ -244,11 +251,11 @@ def encode_multivector(w: MultiVector) -> dict:
 
 
 def decode_multivector(doc: dict) -> MultiVector:
-    """MultiVector from its document: integers dim >= 2 and degree in 0..dim,
-    and terms of degree strictly increasing 1-based indices with finite 're'
-    and 'im'. No index set occurs twice."""
+    """MultiVector from its document: integers dim in 2..MAX_MULTIVECTOR_DIM
+    and degree in 0..dim, and terms of degree strictly increasing 1-based
+    indices with finite 're' and 'im'. No index set occurs twice."""
     _document(doc, "multivector")
-    dim = _read(doc, "dim", "multivector", 0, _integer(2))
+    dim = _read(doc, "dim", "multivector", 0, _integer(2, MAX_MULTIVECTOR_DIM))
     degree = _read(doc, "degree", "multivector", 0, _integer(0, dim))
     terms = _field(doc, "terms", "multivector")
     if not isinstance(terms, list):
@@ -358,14 +365,15 @@ def encode_fourier_form(form) -> dict:
 
 
 def decode_fourier_form(doc: dict):
-    """FourierForm from its document: integers n, mode_bound >= 1, q in 0..n
-    and value_shape entries >= 1. Each mode m is 2n integers with |m_k| <=
-    mode_bound, no mode occurs twice, and its coeffs are complex of shape
-    (C(n, q), *value_shape)."""
+    """FourierForm from its document: integers n in 1..MAX_FOURIER_N,
+    mode_bound >= 1, q in 0..n and value_shape entries >= 1. Each mode m is
+    2n integers with |m_k| <= mode_bound, no mode occurs twice, and its coeffs
+    are complex of shape (C(n, q), *value_shape)."""
     from .fourier import FourierForm, FourierFormSpace
     kind = "fourier_form"
     _document(doc, kind)
-    n, bound = (_read(doc, key, kind, 0, _integer(1)) for key in ("n", "mode_bound"))
+    n = _read(doc, "n", kind, 0, _integer(1, MAX_FOURIER_N))
+    bound = _read(doc, "mode_bound", kind, 0, _integer(1))
     q = _read(doc, "q", kind, 0, _integer(0, n))
     extra = tuple(_nested(doc.get("value_shape", []), f"{kind} value_shape", 1,
                           _integer(1), empty=True))

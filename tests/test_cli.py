@@ -497,7 +497,8 @@ def _set_mode(k, m):
     (lambda doc: doc["modes"][0].update(coeffs=[[[[1.0, 0.0]]]] * 3),
      "modes[0] 'coeffs' has shape (3, 1, 1), expected (3, 2, 2)"),
     (lambda doc: doc["modes"][0].pop("coeffs"), "modes[0] key 'coeffs' is missing"),
-    (lambda doc: doc.update(n=True), "n must be an integer >= 1, got True"),
+    (lambda doc: doc.update(n=True), "n must be an integer in 1..12, got True"),
+    (lambda doc: doc.update(n=60), "n must be an integer in 1..12, got 60"),
     (lambda doc: doc.update(mode_bound=0), "mode_bound must be an integer >= 1"),
     (lambda doc: doc.update(q=4), "q must be an integer in 0..3, got 4"),
     (lambda doc: doc.update(q=1.0), "q must be an integer in 0..3, got 1.0"),
@@ -505,7 +506,7 @@ def _set_mode(k, m):
      "value_shape[1] must be an integer >= 1, got '2'"),
     (lambda doc: doc.update(modes={}), "'modes' must be a list"),
 ], ids=["float-entry", "short", "out-of-cube", "bool-entry", "repeated",
-        "nan-coeff", "coeffs-rank", "coeffs-shape", "no-coeffs", "bool-n",
+        "nan-coeff", "coeffs-rank", "coeffs-shape", "no-coeffs", "bool-n", "n-60",
         "mode-bound-0", "q-above-n", "float-q", "value-shape", "modes-dict"])
 def test_massey_rejects_malformed_fourier_form(tmp_path, capsys, edit, message):
     doc = _fourier_doc()
@@ -584,6 +585,31 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TORUSKIT_SEED")
     code, out2 = run(["sample-torus", "--n", "3"], capsys)
     assert json.loads(out2)["seed"] == 0
+
+
+def test_main_shares_one_parser(capsys, monkeypatch):
+    # main builds its parser once per process, so a parse must leave nothing
+    # behind: each call gives the exit code and bytes of a fresh parser
+    from toruskit import cli
+    monkeypatch.delenv("TORUSKIT_SEED", raising=False)
+    calls = (["no-such-command"], ["sample-torus", "--kind", "metric", "--seed", "5"],
+             ["sample-torus", "--kind", "metric"])
+
+    def call(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli.build_parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0]
+    assert [json.loads(out)["seed"] for _, out, _ in shared[1:]] == [5, 0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_out_flag(tmp_path, capsys):
@@ -1010,6 +1036,8 @@ def _differential_corpus(tmp_path):
         ("chain", dict(chain, hops=4, structures=chain["structures"][:1], metrics=[]),
          _CROSS_ENTRY[2]),
         ("chain", no_key(chain, "residual"), None),
+        ("fourier_form", dict(docs["fourier_form"], n=60), None),
+        ("multivector", dict(docs["multivector"], dim=60), None),
     ]
     return corpus
 

@@ -34,8 +34,8 @@ def test_common_metric_takes_i_j_first():
     assert isinstance(moduli.HOP_TOL, float)
 
 
-def test_pair_factorize_takes_g_h_seed():
-    assert params(moduli.pair_factorize) == ["g", "h", "seed"]
+def test_pair_factorize_takes_g_h():
+    assert params(moduli.pair_factorize) == ["g", "h"]
 
 
 def test_exact_projectors_are_asked_for_visibly(monkeypatch):

@@ -40,3 +40,27 @@ def test_every_module_import_is_used():
                 unused += [f"{path.name}: {name}" for name in _bound_names(node)
                            if name not in used]
     assert unused == []
+
+
+def _referenced_names(node):
+    """Every name and attribute name that `node` refers to."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_private_helper_is_used():
+    # a module-level function or class named _x that nothing in the package
+    # refers to, outside its own definition, is dead code
+    statements = []
+    for path in sorted(Path(tk.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            statements.append((path.name, node, set(_referenced_names(node))))
+    dead = [f"{name}: {node.name}" for name, node, _ in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not any(node.name in refs for _, other, refs in statements
+                        if other is not node)]
+    assert dead == []

@@ -210,3 +210,32 @@ def test_complex_vector_roundtrip():
     v = np.array([1.5 - 2j, 0.25j, -3.0])
     back = serialize.parse_complex(serialize.complex_array(v), "v", 1)
     assert back.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"type": "fourier_form", "n": 60, "mode_bound": 1, "q": 30, "modes": []},
+     "fourier_form n must be an integer in 1..12, got 60"),
+    ({"type": "multivector", "dim": 60, "degree": 30, "terms": []},
+     "multivector dim must be an integer in 2..20, got 60"),
+], ids=["fourier_form", "multivector"])
+def test_oversized_document_is_rejected_before_any_table(monkeypatch, doc, message):
+    # C(60, 30) coefficients would exhaust memory: the reader must name the
+    # entry before it builds a single basis
+    from toruskit import fourier
+    built = []
+    real = hodge.basis_subsets
+
+    def spy(dim, degree):
+        built.append(dim)
+        return real(dim, degree)
+
+    monkeypatch.setattr(hodge, "basis_subsets", spy)
+    monkeypatch.setattr(fourier, "basis_subsets", spy)
+    with pytest.raises(ValueError) as err:
+        serialize.decode(doc)
+    assert str(err.value) == message
+    assert built == []
+    # the largest accepted size still reads
+    top = dict(doc, **({"n": serialize.MAX_FOURIER_N, "q": 1} if "n" in doc
+                       else {"dim": serialize.MAX_MULTIVECTOR_DIM, "degree": 2}))
+    serialize.decode(top)
